@@ -162,6 +162,25 @@ fn main() {
         });
     }
 
+    // Sub-rate resetting rows: the `s = 1` row of generator sets whose
+    // arrived-demand rate (U_HI) exceeds 1. Every answer is `Unbounded`,
+    // reached at the lower-envelope give-up horizon instead of after a
+    // hyperperiod walk.
+    for size in [10usize, 40] {
+        let sets: Vec<TaskSet> = (0..)
+            .map(|seed| synthetic_set(size, seed))
+            .filter(|set| hi_arrival_profile(set).rate() > Rational::ONE)
+            .take(8)
+            .collect();
+        runner.bench(&format!("resetting/sub_rate/{size}"), || {
+            for set in &sets {
+                black_box(
+                    resetting_time(black_box(set), Rational::ONE, &limits).expect("completes"),
+                );
+            }
+        });
+    }
+
     // The one-pass reset frontier: build cost, and a whole speed sweep
     // answered from one frontier (vs one breakpoint walk per speed).
     for size in [10usize, 20] {

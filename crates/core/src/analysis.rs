@@ -15,7 +15,8 @@
 //! re-walking breakpoints.
 //!
 //! The context also counts which walk implementation served each query,
-//! how many walks pruned early at the utilization-envelope horizon, and
+//! how many walks pruned early at an envelope horizon (the upper one for
+//! sup-ratio and fits walks, the lower one for sub-rate first fits), and
 //! how many were avoided outright by frontier reuse ([`WalkCounts`]) so
 //! services can report fast-path coverage without affecting any
 //! analytical result.
@@ -74,8 +75,10 @@ pub struct WalkCounts {
     /// Queries that fell back to the exact rational walk.
     pub exact: u64,
     /// Walks (of either kind) that terminated early because the
-    /// utilization-envelope bound could no longer beat the running best.
-    /// Always `≤ integer + exact`.
+    /// utilization-envelope bound could no longer beat the running best,
+    /// or, below the arrival rate, because the lower envelope ruled out
+    /// any later fit before the hyperperiod stop. Always `≤ integer +
+    /// exact`.
     pub pruned: u64,
     /// Resetting-time queries answered from a cached [`ResetFrontier`]
     /// without walking any breakpoints. Not included in [`Self::total`].
@@ -438,8 +441,12 @@ impl<'a> Analysis<'a> {
     /// frontier `s ↦ Δ_R(s)` in one walk and caches it; later queries it
     /// covers are answered by threshold lookup with no walk at all
     /// (counted in [`WalkCounts::avoided`]). Speeds at or below the
-    /// arrival rate keep the plain walk: their fit can be `Never`, which
-    /// the frontier does not encode.
+    /// arrival rate take a plain first-fit walk instead, because their
+    /// fit can be `Never`, which the frontier does not encode. Below the
+    /// rate that walk gives up at the lower-envelope horizon (see
+    /// [`crate::demand::PeriodicDemand::envelope_deficit`]) after tens of
+    /// breakpoints rather than a hyperperiod, and counts as
+    /// [`WalkCounts::pruned`] when that stop fires first.
     ///
     /// # Errors
     ///
@@ -456,12 +463,8 @@ impl<'a> Analysis<'a> {
                 self.avoided_walks.set(self.avoided_walks.get() + 1);
                 return Ok(ResettingAnalysis::from_first_fit(fit, speed));
             }
-            let (frontier, kind) = profile.reset_frontier(speed, &self.limits)?;
-            self.record(WalkTrace {
-                kind,
-                pruned: false,
-                lockstep: false,
-            });
+            let (frontier, trace) = profile.reset_frontier(speed, &self.limits)?;
+            self.record(trace);
             let fit = frontier
                 .lookup(speed)
                 .expect("a frontier built for `speed` covers it");
@@ -559,11 +562,7 @@ impl<'a> Analysis<'a> {
         let (needed, kind) =
             self.arrival_profile()
                 .min_ratio_within(budget, floor, tolerance, &self.limits)?;
-        self.record(WalkTrace {
-            kind,
-            pruned: false,
-            lockstep: false,
-        });
+        self.record(WalkTrace::one_shot(kind, false));
         let candidate = floor.max(needed);
         if candidate > max_speed {
             // `needed` can overshoot the true infimum by up to

@@ -25,7 +25,9 @@
 //! `demand(Δ+P) = demand(Δ) + rate·P` — so no point beyond the first
 //! hyperperiod can improve on the points within it, and (b) once a ratio
 //! above the long-run rate is found, `demand(Δ) ≤ rate·Δ + burst` yields
-//! a horizon beyond which no improvement is possible.
+//! a horizon beyond which no improvement is possible. Mirrored from
+//! below, `demand(Δ) ≥ rate·Δ − deficit` ends a first fit at a speed
+//! `s < rate` once `Δ > deficit/(rate − s)`: no fit exists past it.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -195,6 +197,38 @@ impl PeriodicDemand {
         self.constant + Rational::ZERO.max(at_jump).max(at_ramp_end)
     }
 
+    /// The lower-envelope mirror of [`PeriodicDemand::envelope_burst`]:
+    /// a constant `d ≥ 0` with `eval(Δ) ≥ rate()·Δ − d` for all `Δ ≥ 0`,
+    /// or `None` when the checked arithmetic overflows.
+    ///
+    /// With `h(u) = r(u) − rate·u` as there, `h` falls at slope `−rate`
+    /// before the jump and on the flat tail, and is linear on the ramp,
+    /// so it never drops below its left limits just before the jump
+    /// (`−rate·ramp_start`) and just before the period end (`jump +
+    /// clipped − per_period`). Hence `d = max(0, −(constant + min(0,
+    /// −rate·ramp_start, jump + clipped − per_period)))`. It bounds how
+    /// long a supply slower than the rate can keep up: the give-up
+    /// horizon of the sub-rate first-fit walks.
+    #[must_use]
+    pub fn envelope_deficit(&self) -> Option<Rational> {
+        let rate = self.per_period.checked_div(self.period).ok()?;
+        let clipped = self
+            .period
+            .checked_sub(self.ramp_start)
+            .ok()?
+            .min(self.ramp_len);
+        let before_jump = rate.checked_mul(self.ramp_start).ok()?;
+        let before_wrap = self
+            .per_period
+            .checked_sub(self.jump.checked_add(clipped).ok()?)
+            .ok()?;
+        let deficit = before_jump
+            .max(before_wrap)
+            .checked_sub(self.constant)
+            .ok()?;
+        Some(deficit.max(Rational::ZERO))
+    }
+
     /// All six quantities in declaration order (`period`, `per_period`,
     /// `constant`, `ramp_start`, `jump`, `ramp_len`) — for the integer
     /// rescaling in [`crate::scaled`].
@@ -340,15 +374,50 @@ pub enum WalkKind {
 pub struct WalkTrace {
     /// Which implementation produced the result.
     pub kind: WalkKind,
-    /// Whether the walk stopped at the envelope horizon with breakpoints
+    /// Whether the walk stopped at an envelope horizon with breakpoints
     /// still pending below the hyperperiod bound — i.e. the
-    /// [`PeriodicDemand::envelope_burst`] pruning actually skipped work.
+    /// [`PeriodicDemand::envelope_burst`] pruning (or, for a sub-rate
+    /// first fit, the [`PeriodicDemand::envelope_deficit`] give-up
+    /// horizon) actually skipped work.
     pub pruned: bool,
     /// Whether a chunked multi-profile lockstep driver
     /// ([`sup_ratio_many`]/[`fits_many`] or an internal batch prime)
     /// completed this walk interleaved with others, rather than a
     /// dedicated one-shot walk.
     pub lockstep: bool,
+}
+
+impl WalkTrace {
+    /// The trace of a dedicated (non-lockstep) walk.
+    pub(crate) fn one_shot(kind: WalkKind, pruned: bool) -> WalkTrace {
+        WalkTrace {
+            kind,
+            pruned,
+            lockstep: false,
+        }
+    }
+}
+
+/// The `Never` stop of a first-fit-shaped walk at a speed `s ≤ rate`, on
+/// any time representation (exact, or a lane's scaled integers):
+/// `Some(pruned)` once the segment starting at `start` lies past the
+/// hyperperiod or past the lower-envelope give-up horizon, with `pruned`
+/// set when the give-up horizon stopped the walk before the hyperperiod
+/// would have.
+///
+/// Past the hyperperiod, supply slope never exceeds the long-run demand
+/// rate, so the gap can only grow (`demand(Δ+P) − s(Δ+P) ≥ demand(Δ) −
+/// sΔ`) once one full hyperperiod showed no fit. Past the give-up
+/// horizon, the lower envelope rules out any fit (see
+/// [`PeriodicDemand::envelope_deficit`]).
+pub(crate) fn sub_rate_stop<T: PartialOrd>(
+    start: T,
+    hyperperiod: Option<T>,
+    give_up: Option<T>,
+) -> Option<bool> {
+    let past_hp = hyperperiod.is_some_and(|hp| start > hp);
+    let past_give_up = give_up.is_some_and(|h| start > h);
+    (past_hp || past_give_up).then_some(!past_hp)
 }
 
 /// A sum of [`PeriodicDemand`] components with exact sup-ratio and
@@ -401,7 +470,22 @@ struct Aggregates {
     rate: OnceLock<Rational>,
     burst: OnceLock<Rational>,
     envelope_burst: OnceLock<Rational>,
+    envelope_deficit: OnceLock<Option<Rational>>,
     hyperperiod: OnceLock<Option<Rational>>,
+}
+
+impl Aggregates {
+    /// Empty aggregates, with the rate taken from the integer fast path
+    /// when there is one: it keeps the exact total through every splice,
+    /// so the sub-rate check in front of each first-fit walk costs no
+    /// O(components) refold.
+    fn seeded(scaled: Option<&ScaledProfile>) -> Aggregates {
+        let aggregates = Aggregates::default();
+        if let Some(scaled) = scaled {
+            let _ = aggregates.rate.set(scaled.rate());
+        }
+        aggregates
+    }
 }
 
 /// The lazily-filled aggregate cache is derived state, so equality is
@@ -421,8 +505,8 @@ impl DemandProfile {
         let scaled = ScaledProfile::build(&components);
         DemandProfile {
             components: components.into(),
+            aggregates: Aggregates::seeded(scaled.as_ref()),
             scaled,
-            aggregates: Aggregates::default(),
         }
     }
 
@@ -436,8 +520,8 @@ impl DemandProfile {
     ) -> DemandProfile {
         DemandProfile {
             components: components.into(),
+            aggregates: Aggregates::seeded(scaled.as_ref()),
             scaled,
-            aggregates: Aggregates::default(),
         }
     }
 
@@ -463,7 +547,7 @@ impl DemandProfile {
         if !in_place {
             self.scaled = ScaledProfile::build(&self.components);
         }
-        self.aggregates = Aggregates::default();
+        self.aggregates = Aggregates::seeded(self.scaled.as_ref());
         in_place
     }
 
@@ -483,7 +567,7 @@ impl DemandProfile {
         if !in_place {
             self.scaled = ScaledProfile::build(&self.components);
         }
-        self.aggregates = Aggregates::default();
+        self.aggregates = Aggregates::seeded(self.scaled.as_ref());
         in_place
     }
 
@@ -500,7 +584,7 @@ impl DemandProfile {
         if !in_place {
             self.scaled = ScaledProfile::build(&self.components);
         }
-        self.aggregates = Aggregates::default();
+        self.aggregates = Aggregates::seeded(self.scaled.as_ref());
         in_place
     }
 
@@ -517,7 +601,7 @@ impl DemandProfile {
         if !in_place {
             self.scaled = ScaledProfile::build(&self.components);
         }
-        self.aggregates = Aggregates::default();
+        self.aggregates = Aggregates::seeded(self.scaled.as_ref());
         in_place
     }
 
@@ -533,7 +617,7 @@ impl DemandProfile {
         if !in_place {
             self.scaled = ScaledProfile::build(&self.components);
         }
-        self.aggregates = Aggregates::default();
+        self.aggregates = Aggregates::seeded(self.scaled.as_ref());
         in_place
     }
 
@@ -570,7 +654,7 @@ impl DemandProfile {
         if !in_place {
             self.scaled = ScaledProfile::build(&self.components);
         }
-        self.aggregates = Aggregates::default();
+        self.aggregates = Aggregates::seeded(self.scaled.as_ref());
         in_place
     }
 
@@ -632,6 +716,32 @@ impl DemandProfile {
         })
     }
 
+    /// Total lower-envelope deficit (per-component
+    /// [`PeriodicDemand::envelope_deficit`], summed): `eval(Δ) ≥
+    /// rate()·Δ − envelope_deficit()`. `None` when the checked sum
+    /// overflows.
+    fn envelope_deficit(&self) -> Option<Rational> {
+        *self.aggregates.envelope_deficit.get_or_init(|| {
+            self.components.iter().try_fold(Rational::ZERO, |acc, c| {
+                acc.checked_add(c.envelope_deficit()?).ok()
+            })
+        })
+    }
+
+    /// The sub-rate give-up horizon `envelope_deficit/(rate − speed)`:
+    /// past it `eval(Δ) ≥ rate·Δ − deficit > speed·Δ`, so no first fit
+    /// exists there. `None` when `speed ≥ rate` (the lower envelope
+    /// proves nothing at the rate) or the checked arithmetic overflows;
+    /// the walks then stop at the hyperperiod alone.
+    fn give_up_horizon(&self, speed: Rational) -> Option<Rational> {
+        let rate = self.rate();
+        if speed >= rate {
+            return None;
+        }
+        let gap = rate.checked_sub(speed).ok()?;
+        self.envelope_deficit()?.checked_div(gap).ok()
+    }
+
     /// Consumes the profile and returns its component vector — the
     /// allocation can then be pooled in an
     /// [`crate::analysis::AnalysisScratch`] and reused for the next set.
@@ -684,26 +794,11 @@ impl DemandProfile {
     ) -> Result<(SupRatio, WalkTrace), AnalysisError> {
         if let Some(scaled) = &self.scaled {
             if let Some((result, pruned)) = scaled.sup_ratio(limits)? {
-                return Ok((
-                    result,
-                    WalkTrace {
-                        kind: WalkKind::Integer,
-                        pruned,
-                        lockstep: false,
-                    },
-                ));
+                return Ok((result, WalkTrace::one_shot(WalkKind::Integer, pruned)));
             }
         }
-        self.sup_ratio_exact_traced(limits).map(|(result, pruned)| {
-            (
-                result,
-                WalkTrace {
-                    kind: WalkKind::Rational,
-                    pruned,
-                    lockstep: false,
-                },
-            )
-        })
+        self.sup_ratio_exact_traced(limits)
+            .map(|(result, pruned)| (result, WalkTrace::one_shot(WalkKind::Rational, pruned)))
     }
 
     /// The exact rational reference implementation of
@@ -885,27 +980,11 @@ impl DemandProfile {
         }
         if let Some(scaled) = &self.scaled {
             if let Some((result, pruned)) = scaled.fits(speed, limits)? {
-                return Ok((
-                    result,
-                    WalkTrace {
-                        kind: WalkKind::Integer,
-                        pruned,
-                        lockstep: false,
-                    },
-                ));
+                return Ok((result, WalkTrace::one_shot(WalkKind::Integer, pruned)));
             }
         }
         self.fits_exact_traced(speed, limits)
-            .map(|(result, pruned)| {
-                (
-                    result,
-                    WalkTrace {
-                        kind: WalkKind::Rational,
-                        pruned,
-                        lockstep: false,
-                    },
-                )
-            })
+            .map(|(result, pruned)| (result, WalkTrace::one_shot(WalkKind::Rational, pruned)))
     }
 
     /// The exact rational reference implementation of
@@ -999,9 +1078,10 @@ impl DemandProfile {
             .map(|(result, _)| result)
     }
 
-    /// [`DemandProfile::first_fit`] plus how it was answered. A first-fit
-    /// walk stops at its answer, never at the envelope horizon, so the
-    /// trace's `pruned` flag is always `false` here.
+    /// [`DemandProfile::first_fit`] plus how it was answered. The trace's
+    /// `pruned` flag is set when a sub-rate walk answered `Never` at the
+    /// lower-envelope give-up horizon before the hyperperiod stop would
+    /// have fired; a walk that stops at its answer never sets it.
     ///
     /// # Errors
     ///
@@ -1014,28 +1094,14 @@ impl DemandProfile {
         if !speed.is_positive() {
             return Err(AnalysisError::NonPositiveSpeed);
         }
+        let give_up = self.give_up_horizon(speed);
         if let Some(scaled) = &self.scaled {
-            if let Some(result) = scaled.first_fit(speed, limits)? {
-                return Ok((
-                    result,
-                    WalkTrace {
-                        kind: WalkKind::Integer,
-                        pruned: false,
-                        lockstep: false,
-                    },
-                ));
+            if let Some((result, pruned)) = scaled.first_fit(speed, give_up, limits)? {
+                return Ok((result, WalkTrace::one_shot(WalkKind::Integer, pruned)));
             }
         }
-        self.first_fit_exact(speed, limits).map(|result| {
-            (
-                result,
-                WalkTrace {
-                    kind: WalkKind::Rational,
-                    pruned: false,
-                    lockstep: false,
-                },
-            )
-        })
+        self.first_fit_exact_traced(speed, give_up, limits)
+            .map(|(result, pruned)| (result, WalkTrace::one_shot(WalkKind::Rational, pruned)))
     }
 
     /// The exact rational reference implementation of
@@ -1053,9 +1119,22 @@ impl DemandProfile {
         if !speed.is_positive() {
             return Err(AnalysisError::NonPositiveSpeed);
         }
+        self.first_fit_exact_traced(speed, self.give_up_horizon(speed), limits)
+            .map(|(result, _)| result)
+    }
+
+    /// [`DemandProfile::first_fit_exact`] with the caller's give-up
+    /// horizon, plus whether that horizon ended the walk before the
+    /// hyperperiod stop would have.
+    fn first_fit_exact_traced(
+        &self,
+        speed: Rational,
+        give_up: Option<Rational>,
+        limits: &AnalysisLimits,
+    ) -> Result<(FirstFit, bool), AnalysisError> {
         let mut walk = IncrementalWalk::new(&self.components, limits.max_breakpoints());
         if !walk.value.is_positive() {
-            return Ok(FirstFit::At(Rational::ZERO));
+            return Ok((FirstFit::At(Rational::ZERO), false));
         }
         let rate = self.rate();
         let hyperperiod = self.hyperperiod();
@@ -1070,25 +1149,19 @@ impl DemandProfile {
                 .peek_next()
                 .expect("periodic curves have unbounded breakpoints");
             if value <= speed * segment_start {
-                return Ok(FirstFit::At(segment_start));
+                return Ok((FirstFit::At(segment_start), false));
             }
             let slope = Rational::integer(i128::from(walk.slope));
             if speed > slope {
                 // Solve value + slope·(Δ − start) = speed·Δ.
                 let crossing = (value - slope * segment_start) / (speed - slope);
                 if crossing < segment_end {
-                    return Ok(FirstFit::At(crossing));
+                    return Ok((FirstFit::At(crossing), false));
                 }
             }
             if speed <= rate {
-                if let Some(hp) = hyperperiod {
-                    if segment_start > hp {
-                        // Supply slope never exceeds the long-run demand
-                        // rate and one full hyperperiod showed no fit:
-                        // the gap can only grow (demand(Δ+P) − s(Δ+P) ≥
-                        // demand(Δ) − sΔ).
-                        return Ok(FirstFit::Never);
-                    }
+                if let Some(pruned) = sub_rate_stop(segment_start, hyperperiod, give_up) {
+                    return Ok((FirstFit::Never, pruned));
                 }
             }
             walk.advance();
@@ -1106,45 +1179,50 @@ impl DemandProfile {
     /// answers *any* speed at or above `min_speed` — and often many below
     /// it — without walking again.
     ///
-    /// The returned [`WalkKind`] reports whether the integer fast path
-    /// built it.
+    /// The returned [`WalkTrace`] reports whether the integer fast path
+    /// built it and, as for [`DemandProfile::first_fit_traced`], whether
+    /// a sub-rate build stopped at the lower-envelope give-up horizon.
     ///
     /// # Errors
     ///
     /// As for [`DemandProfile::first_fit`] at `min_speed` (including the
-    /// budget exhaustion of a `min_speed ≤ rate()` build whose hyperperiod
-    /// overflows).
+    /// budget exhaustion of a `min_speed == rate()` build whose
+    /// hyperperiod overflows).
     pub fn reset_frontier(
         &self,
         min_speed: Rational,
         limits: &AnalysisLimits,
-    ) -> Result<(ResetFrontier, WalkKind), AnalysisError> {
+    ) -> Result<(ResetFrontier, WalkTrace), AnalysisError> {
         if !min_speed.is_positive() {
             return Err(AnalysisError::NonPositiveSpeed);
         }
+        let give_up = self.give_up_horizon(min_speed);
         if let Some(scaled) = &self.scaled {
-            if let Some(frontier) = scaled.reset_frontier(min_speed, limits)? {
-                return Ok((frontier, WalkKind::Integer));
+            if let Some((frontier, pruned)) = scaled.reset_frontier(min_speed, give_up, limits)? {
+                return Ok((frontier, WalkTrace::one_shot(WalkKind::Integer, pruned)));
             }
         }
-        self.reset_frontier_exact(min_speed, limits)
-            .map(|frontier| (frontier, WalkKind::Rational))
+        self.reset_frontier_exact(min_speed, give_up, limits)
+            .map(|(frontier, pruned)| (frontier, WalkTrace::one_shot(WalkKind::Rational, pruned)))
     }
 
     /// The exact rational construction behind
-    /// [`DemandProfile::reset_frontier`].
+    /// [`DemandProfile::reset_frontier`], plus whether the give-up
+    /// horizon ended it before the hyperperiod stop would have.
     fn reset_frontier_exact(
         &self,
         min_speed: Rational,
+        give_up: Option<Rational>,
         limits: &AnalysisLimits,
-    ) -> Result<ResetFrontier, AnalysisError> {
+    ) -> Result<(ResetFrontier, bool), AnalysisError> {
         let mut walk = IncrementalWalk::new(&self.components, limits.max_breakpoints());
         if !walk.value.is_positive() {
-            return Ok(ResetFrontier::everything_fits_at_zero());
+            return Ok((ResetFrontier::everything_fits_at_zero(), false));
         }
         let rate = self.rate();
         let hyperperiod = self.hyperperiod();
         let mut builder = FrontierBuilder::new(min_speed);
+        let mut pruned = false;
         let mut examined = 0usize;
         loop {
             if builder.serves_min_speed() {
@@ -1176,18 +1254,16 @@ impl DemandProfile {
                 phi_pre.max(slope),
             );
             if min_speed <= rate {
-                if let Some(hp) = hyperperiod {
-                    if segment_start > hp {
-                        // Mirrors first_fit's Never bail-out: min_speed is
-                        // unserved after a full hyperperiod and can never
-                        // be; the staircase above it is complete.
-                        break;
-                    }
+                // Mirrors first_fit's Never stop: min_speed is unserved
+                // and can never be; the staircase above it is complete.
+                if let Some(stopped_early) = sub_rate_stop(segment_start, hyperperiod, give_up) {
+                    pruned = stopped_early;
+                    break;
                 }
             }
             walk.advance();
         }
-        Ok(builder.finish())
+        Ok((builder.finish(), pruned))
     }
 
     /// The infimum of `eval(Δ)/Δ` over `(0, horizon]`, early-stopped once
@@ -1841,16 +1917,13 @@ impl ResetFrontier {
                 let raw_min = |acc: Option<(i128, i128)>, cand: (i128, i128)| match acc {
                     None => Some(cand),
                     Some(best) => {
-                        let cand_smaller = match cmp_raw(
-                            Rational::new(cand.0, cand.1),
-                            best.0,
-                            best.1,
-                        ) {
-                            Some(ord) => ord == Ordering::Less,
-                            None => {
-                                Rational::new(cand.0, cand.1) < Rational::new(best.0, best.1)
-                            }
-                        };
+                        let cand_smaller =
+                            match cmp_raw(Rational::new(cand.0, cand.1), best.0, best.1) {
+                                Some(ord) => ord == Ordering::Less,
+                                None => {
+                                    Rational::new(cand.0, cand.1) < Rational::new(best.0, best.1)
+                                }
+                            };
                         Some(if cand_smaller { cand } else { best })
                     }
                 };

@@ -50,7 +50,9 @@ pub struct AnalyzeMeta {
     pub integer_walks: u64,
     /// Breakpoint walks that fell back to the exact rational path.
     pub exact_walks: u64,
-    /// Walks that terminated early at the utilization-envelope horizon.
+    /// Walks that terminated early at an envelope horizon: the
+    /// utilization envelope from above, or the lower envelope that ends
+    /// a sub-rate first fit before its hyperperiod.
     pub pruned_walks: u64,
     /// Resetting-time queries answered from the cached reset frontier
     /// without walking (not counted in `integer_walks`/`exact_walks`).

@@ -44,7 +44,9 @@
 
 use rbs_timebase::{lcm_i128, Rational};
 
-use crate::demand::{FirstFit, PeriodicDemand, ResetFrontier, ScaledFrontierRecord, SupRatio};
+use crate::demand::{
+    sub_rate_stop, FirstFit, PeriodicDemand, ResetFrontier, ScaledFrontierRecord, SupRatio,
+};
 use crate::kernel::{KernelWalk, Lane, NarrowHeadroom};
 use crate::splice_buf::SpliceBuf;
 use crate::{AnalysisError, AnalysisLimits};
@@ -855,9 +857,7 @@ impl ScaledProfile {
                 // not for retractions; the refold settles both exactly.
                 match shortcut {
                     Some(h) => Some(h),
-                    None => {
-                        NarrowHeadroom::fold(&self.components)
-                    }
+                    None => NarrowHeadroom::fold(&self.components),
                 }
             }
             // The proof previously overflowed; a removal can bring the
@@ -1091,6 +1091,11 @@ impl ScaledProfile {
         self.apply_agg_delta(&outgoing, &incoming, &outgoing_scaled, &incoming_scaled)
     }
 
+    /// The exact long-run rate of the profile.
+    pub(crate) fn rate(&self) -> Rational {
+        self.rate
+    }
+
     /// Seeds the narrow (`i64`) kernel when the headroom proof covers
     /// `limits`' breakpoint budget.
     fn seed_narrow(&self, limits: &AnalysisLimits) -> Option<KernelWalk<i64>> {
@@ -1146,7 +1151,10 @@ impl ScaledProfile {
         }
     }
 
-    /// Integer fast path of [`crate::demand::DemandProfile::first_fit`].
+    /// Integer fast path of [`crate::demand::DemandProfile::first_fit`],
+    /// plus whether the lower-envelope `give_up` horizon (see
+    /// `DemandProfile::give_up_horizon`) ended the walk before the
+    /// hyperperiod stop would have.
     ///
     /// The caller must have rejected non-positive speeds already.
     ///
@@ -1156,15 +1164,30 @@ impl ScaledProfile {
     pub(crate) fn first_fit(
         &self,
         speed: Rational,
+        give_up: Option<Rational>,
         limits: &AnalysisLimits,
-    ) -> Result<Option<FirstFit>, AnalysisError> {
+    ) -> Result<Option<(FirstFit, bool)>, AnalysisError> {
+        let give_up = ck!(self.scaled_give_up(give_up));
         if let Some((s_num, s_den)) = narrow_speed(speed) {
             if let Some(walk) = self.seed_narrow(limits) {
-                return self.first_fit_walk(walk, s_num, s_den, speed, limits);
+                return self.first_fit_walk(walk, s_num, s_den, speed, give_up, limits);
             }
         }
         let walk = ck!(KernelWalk::<i128>::seed(&self.components));
-        self.first_fit_walk(walk, speed.numer(), speed.denom(), speed, limits)
+        self.first_fit_walk(walk, speed.numer(), speed.denom(), speed, give_up, limits)
+    }
+
+    /// The give-up horizon `h` on the scaled grid: `Δ > h ⟺ Δ' >
+    /// ⌊h·K⌋` (fact 3 of the module docs). `Some(None)` when there is
+    /// no horizon; `None` when `⌊h·K⌋` overflows `i128` — the caller
+    /// then bails to the exact walk, which applies `h` itself.
+    fn scaled_give_up(&self, give_up: Option<Rational>) -> Option<Option<i128>> {
+        match give_up {
+            None => Some(None),
+            Some(h) => Some(Some(
+                h.checked_mul(Rational::integer(self.scale)).ok()?.floor(),
+            )),
+        }
     }
 
     /// The width-generic body of [`ScaledProfile::first_fit`].
@@ -1174,14 +1197,16 @@ impl ScaledProfile {
         s_num: L,
         s_den: L,
         speed: Rational,
+        give_up: Option<i128>,
         limits: &AnalysisLimits,
-    ) -> Result<Option<FirstFit>, AnalysisError> {
+    ) -> Result<Option<(FirstFit, bool)>, AnalysisError> {
         if walk.value <= L::default() {
-            return Ok(Some(FirstFit::At(Rational::ZERO)));
+            return Ok(Some((FirstFit::At(Rational::ZERO), false)));
         }
-        // Loop-invariant parts of the hyperperiod "Never" bail-out.
+        // Loop-invariant parts of the "Never" bail-outs.
         let rate_dominates = speed <= self.rate;
         let hyperperiod = self.hyperperiod.map(clamp_threshold::<L>);
+        let give_up = give_up.map(clamp_threshold::<L>);
         let mut examined = 0usize;
         loop {
             examined += 1;
@@ -1193,10 +1218,8 @@ impl ScaledProfile {
                 .expect("periodic curves have unbounded breakpoints");
             // v ≤ s·Δ ⟺ v'·s_den ≤ s_num·Δ'.
             if ck!(value.mul_widen(s_den)) <= ck!(s_num.mul_widen(segment_start)) {
-                return Ok(Some(FirstFit::At(Rational::new(
-                    segment_start.widen(),
-                    self.scale,
-                ))));
+                let at = Rational::new(segment_start.widen(), self.scale);
+                return Ok(Some((FirstFit::At(at), false)));
             }
             let slope = walk.slope;
             let slope_s_den = ck!(L::slope_mul(slope, s_den));
@@ -1210,17 +1233,13 @@ impl ScaledProfile {
                 let den = ck!(s_num.sub_check(slope_s_den));
                 // crossing < end ⟺ num < end'·den.
                 if num < ck!(segment_end.mul_widen(den)) {
-                    return Ok(Some(FirstFit::At(Rational::new(
-                        num,
-                        ck!(den.mul_i128(self.scale)),
-                    ))));
+                    let at = Rational::new(num, ck!(den.mul_i128(self.scale)));
+                    return Ok(Some((FirstFit::At(at), false)));
                 }
             }
             if rate_dominates {
-                if let Some(hp) = hyperperiod {
-                    if segment_start > hp {
-                        return Ok(Some(FirstFit::Never));
-                    }
+                if let Some(pruned) = sub_rate_stop(segment_start, hyperperiod, give_up) {
+                    return Ok(Some((FirstFit::Never, pruned)));
                 }
             }
             ck!(walk.advance());
@@ -1345,11 +1364,13 @@ impl ScaledProfile {
     pub(crate) fn reset_frontier(
         &self,
         min_speed: Rational,
+        give_up: Option<Rational>,
         limits: &AnalysisLimits,
-    ) -> Result<Option<ResetFrontier>, AnalysisError> {
+    ) -> Result<Option<(ResetFrontier, bool)>, AnalysisError> {
+        let give_up = ck!(self.scaled_give_up(give_up));
         if let Some((s_num, s_den)) = narrow_speed(min_speed) {
             if let Some(walk) = self.seed_narrow(limits) {
-                return self.reset_frontier_walk(walk, s_num, s_den, min_speed, limits);
+                return self.reset_frontier_walk(walk, s_num, s_den, min_speed, give_up, limits);
             }
         }
         let walk = ck!(KernelWalk::<i128>::seed(&self.components));
@@ -1358,6 +1379,7 @@ impl ScaledProfile {
             min_speed.numer(),
             min_speed.denom(),
             min_speed,
+            give_up,
             limits,
         )
     }
@@ -1369,10 +1391,11 @@ impl ScaledProfile {
         speed_num: L,
         speed_den: L,
         min_speed: Rational,
+        give_up: Option<i128>,
         limits: &AnalysisLimits,
-    ) -> Result<Option<ResetFrontier>, AnalysisError> {
+    ) -> Result<Option<(ResetFrontier, bool)>, AnalysisError> {
         if walk.value <= L::default() {
-            return Ok(Some(ResetFrontier::everything_fits_at_zero()));
+            return Ok(Some((ResetFrontier::everything_fits_at_zero(), false)));
         }
         // Raw (unreduced) serving thresholds, mirroring the exact
         // builder's reduced ones: every comparison is a checked
@@ -1385,10 +1408,12 @@ impl ScaledProfile {
         let mut records: Vec<ScaledFrontierRecord> = Vec::new();
         let mut closed_cover: Option<(L, L)> = None;
         let mut open_cover: Option<(L, L)> = None;
-        // Loop-invariant parts of the hyperperiod bail-out.
+        // Loop-invariant parts of the hyperperiod and give-up bail-outs.
         let rate_dominates = min_speed <= self.rate;
         let hyperperiod = self.hyperperiod.map(clamp_threshold::<L>);
+        let give_up = give_up.map(clamp_threshold::<L>);
         let one = L::from_i64(1);
+        let mut pruned = false;
         let mut examined = 0usize;
         loop {
             // The exact builder's `serves_min_speed` stopping rule:
@@ -1451,21 +1476,21 @@ impl ScaledProfile {
                 }
             }
             if rate_dominates {
-                if let Some(hp) = hyperperiod {
-                    if segment_start > hp {
-                        // Mirrors first_fit's Never bail-out.
-                        break;
-                    }
+                // Mirrors first_fit's Never stop.
+                if let Some(stopped_early) = sub_rate_stop(segment_start, hyperperiod, give_up) {
+                    pruned = stopped_early;
+                    break;
                 }
             }
             ck!(walk.advance());
         }
-        Ok(Some(ResetFrontier::from_scaled(
+        let frontier = ResetFrontier::from_scaled(
             self.scale,
             records,
             closed_cover.map(|(n, d)| (n.widen(), d.widen())),
             open_cover.map(|(n, d)| (n.widen(), d.widen())),
-        )))
+        );
+        Ok(Some((frontier, pruned)))
     }
 }
 

@@ -611,7 +611,9 @@ impl SweepAnalysis {
     /// grid point, with the same frontier reuse as
     /// [`crate::analysis::Analysis::resetting_time`]: the first
     /// above-rate query per grid point builds the full staircase, later
-    /// covered speeds answer by lookup without walking.
+    /// covered speeds answer by lookup without walking. Speeds at or
+    /// below the rate take a plain first-fit walk, which below the rate
+    /// stops at the lower-envelope give-up horizon.
     ///
     /// # Errors
     ///
@@ -622,12 +624,8 @@ impl SweepAnalysis {
                 self.avoided_walks += 1;
                 return Ok(ResettingAnalysis::from_first_fit(fit, speed));
             }
-            let (frontier, kind) = self.arrival.reset_frontier(speed, &self.limits)?;
-            self.record(WalkTrace {
-                kind,
-                pruned: false,
-                lockstep: false,
-            });
+            let (frontier, trace) = self.arrival.reset_frontier(speed, &self.limits)?;
+            self.record(trace);
             let fit = frontier
                 .lookup(speed)
                 .expect("a frontier built for `speed` covers it");
