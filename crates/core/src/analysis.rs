@@ -123,6 +123,131 @@ impl WalkCounts {
     pub fn total(&self) -> u64 {
         self.integer + self.exact
     }
+
+    /// Tallies one finished walk: the implementation that answered it,
+    /// and whether an envelope horizon pruned it or a lockstep driver
+    /// completed it.
+    pub(crate) fn record(&mut self, trace: WalkTrace) {
+        match trace.kind {
+            WalkKind::Integer => self.integer += 1,
+            WalkKind::Rational => self.exact += 1,
+        }
+        self.pruned += u64::from(trace.pruned);
+        self.lockstep += u64::from(trace.lockstep);
+    }
+
+    /// Adds every counter of `other` to this one.
+    pub fn absorb(&mut self, other: &WalkCounts) {
+        for ((_, into), (_, from)) in self.table_mut().into_iter().zip(other.fields()) {
+            *into += from;
+        }
+    }
+
+    /// Every counter with its wire name, in wire order — the one list
+    /// reports, the service's `walks` object and its footer render.
+    #[must_use]
+    pub fn fields(&self) -> [(&'static str, u64); 11] {
+        let mut copy = *self;
+        copy.table_mut().map(|(name, value)| (name, *value))
+    }
+
+    fn table_mut(&mut self) -> [(&'static str, &mut u64); 11] {
+        [
+            ("integer", &mut self.integer),
+            ("exact", &mut self.exact),
+            ("pruned", &mut self.pruned),
+            ("avoided", &mut self.avoided),
+            ("reused", &mut self.reused_components),
+            ("rebuilt", &mut self.rebuilt_components),
+            ("lockstep", &mut self.lockstep),
+            ("patched", &mut self.patched),
+            ("repaired", &mut self.repaired),
+            ("kept", &mut self.kept),
+            ("rewalked", &mut self.rewalked),
+        ]
+    }
+
+    /// The answer of a traced walk, tallied here; an error passes
+    /// through uncounted, since no walk finished.
+    pub(crate) fn recorded<T>(&mut self, walked: Walked<T>) -> Result<T, AnalysisError> {
+        let (value, trace) = walked?;
+        self.record(trace);
+        Ok(value)
+    }
+}
+
+/// A traced walk's answer: the value and how the walk produced it.
+pub(crate) type Walked<T> = Result<(T, WalkTrace), AnalysisError>;
+
+/// Theorem 2's minimum speedup off the `DBF_HI` profile, from `staged`
+/// when a lockstep batch already walked it — the query body shared by
+/// [`Analysis`] and [`crate::sweep::SweepAnalysis`].
+pub(crate) fn minimum_speedup_on(
+    hi: &DemandProfile,
+    staged: Option<Walked<SupRatio>>,
+    limits: &AnalysisLimits,
+    counts: &mut WalkCounts,
+) -> Result<SpeedupAnalysis, AnalysisError> {
+    let walked = staged.unwrap_or_else(|| hi.sup_ratio_traced(limits));
+    counts.recorded(walked).map(SpeedupAnalysis::from_sup_ratio)
+}
+
+/// Whether `profile` fits `speed`, from `staged` when a lockstep batch
+/// already walked it (see [`minimum_speedup_on`]).
+pub(crate) fn fits_on(
+    profile: &DemandProfile,
+    speed: Rational,
+    staged: Option<Walked<bool>>,
+    limits: &AnalysisLimits,
+    counts: &mut WalkCounts,
+) -> Result<bool, AnalysisError> {
+    let walked = staged.unwrap_or_else(|| profile.fits_traced(speed, limits));
+    counts.recorded(walked)
+}
+
+/// The LO-mode speed requirement off the `DBF_LO` profile, from `staged`
+/// when a lockstep batch already walked it (see [`minimum_speedup_on`]).
+pub(crate) fn lo_speed_requirement_on(
+    lo: &DemandProfile,
+    staged: Option<Walked<SupRatio>>,
+    limits: &AnalysisLimits,
+    counts: &mut WalkCounts,
+) -> Result<Rational, AnalysisError> {
+    let walked = staged.unwrap_or_else(|| lo.sup_ratio_traced(limits));
+    match counts.recorded(walked)? {
+        SupRatio::Finite { value, .. } => Ok(value),
+        SupRatio::Unbounded => unreachable!("DBF_LO(0) = 0 for validated tasks"),
+    }
+}
+
+/// Corollary 5's resetting time off the `ADB_HI` profile under the
+/// reset-frontier policy shared by [`Analysis::resetting_time`] and
+/// [`crate::sweep::SweepAnalysis::resetting_time`]: above the arrival
+/// rate, a covered speed is a lookup in `frontier` (counted as
+/// [`WalkCounts::avoided`]) and an uncovered one builds the full
+/// staircase for `speed` into it; at or below the rate, a plain
+/// first-fit walk.
+pub(crate) fn resetting_time_on(
+    arrival: &DemandProfile,
+    frontier: &mut Option<ResetFrontier>,
+    speed: Rational,
+    limits: &AnalysisLimits,
+    counts: &mut WalkCounts,
+) -> Result<ResettingAnalysis, AnalysisError> {
+    if speed <= arrival.rate() {
+        let fit = counts.recorded(arrival.first_fit_traced(speed, limits))?;
+        return Ok(ResettingAnalysis::from_first_fit(fit, speed));
+    }
+    if let Some(fit) = frontier.as_ref().and_then(|f| f.lookup(speed)) {
+        counts.avoided += 1;
+        return Ok(ResettingAnalysis::from_first_fit(fit, speed));
+    }
+    let built = counts.recorded(arrival.reset_frontier(speed, limits))?;
+    let fit = frontier
+        .insert(built)
+        .lookup(speed)
+        .expect("a frontier built for `speed` covers it");
+    Ok(ResettingAnalysis::from_first_fit(fit, speed))
 }
 
 /// A per-task-set analysis context: lazily-built, shared demand profiles
@@ -139,21 +264,16 @@ pub struct Analysis<'a> {
     lo: OnceCell<DemandProfile>,
     hi: OnceCell<DemandProfile>,
     arrival: OnceCell<DemandProfile>,
-    integer_walks: Cell<u64>,
-    exact_walks: Cell<u64>,
-    pruned_walks: Cell<u64>,
-    avoided_walks: Cell<u64>,
-    built_components: Cell<u64>,
-    lockstep_walks: Cell<u64>,
+    counts: Cell<WalkCounts>,
     /// The deepest `Δ_R` staircase built so far; covers every speed at or
     /// above the speed it was built for.
     frontier: RefCell<Option<ResetFrontier>>,
     /// Results staged by [`Analysis::prime_lockstep`], consumed by the
     /// first call to the matching query so its answer (and error
     /// propagation) stays bit-identical to the sequential path.
-    primed_lo_fits: RefCell<Option<Result<(bool, WalkTrace), AnalysisError>>>,
-    primed_lo_sup: RefCell<Option<Result<(SupRatio, WalkTrace), AnalysisError>>>,
-    primed_hi_sup: RefCell<Option<Result<(SupRatio, WalkTrace), AnalysisError>>>,
+    primed_lo_fits: RefCell<Option<Walked<bool>>>,
+    primed_lo_sup: RefCell<Option<Walked<SupRatio>>>,
+    primed_hi_sup: RefCell<Option<Walked<SupRatio>>>,
 }
 
 impl<'a> Analysis<'a> {
@@ -166,12 +286,7 @@ impl<'a> Analysis<'a> {
             lo: OnceCell::new(),
             hi: OnceCell::new(),
             arrival: OnceCell::new(),
-            integer_walks: Cell::new(0),
-            exact_walks: Cell::new(0),
-            pruned_walks: Cell::new(0),
-            avoided_walks: Cell::new(0),
-            built_components: Cell::new(0),
-            lockstep_walks: Cell::new(0),
+            counts: Cell::new(WalkCounts::default()),
             frontier: RefCell::new(None),
             primed_lo_fits: RefCell::new(None),
             primed_lo_sup: RefCell::new(None),
@@ -206,8 +321,15 @@ impl<'a> Analysis<'a> {
     }
 
     fn note_built(&self, components: usize) {
-        self.built_components
-            .set(self.built_components.get() + components as u64);
+        self.tally(|counts| counts.rebuilt_components += components as u64);
+    }
+
+    /// Runs `f` against the context's walk counts.
+    fn tally<R>(&self, f: impl FnOnce(&mut WalkCounts) -> R) -> R {
+        let mut counts = self.counts.get();
+        let result = f(&mut counts);
+        self.counts.set(counts);
+        result
     }
 
     /// Creates a context around profiles built elsewhere — the delta
@@ -315,37 +437,12 @@ impl<'a> Analysis<'a> {
         })
     }
 
-    fn record(&self, trace: WalkTrace) {
-        match trace.kind {
-            WalkKind::Integer => self.integer_walks.set(self.integer_walks.get() + 1),
-            WalkKind::Rational => self.exact_walks.set(self.exact_walks.get() + 1),
-        }
-        if trace.pruned {
-            self.pruned_walks.set(self.pruned_walks.get() + 1);
-        }
-        if trace.lockstep {
-            self.lockstep_walks.set(self.lockstep_walks.get() + 1);
-        }
-    }
-
     /// How many breakpoint walks ran so far, by implementation, plus how
     /// many pruned early and how many queries skipped walking entirely.
     /// The counts are deterministic for a given query sequence.
     #[must_use]
     pub fn walk_counts(&self) -> WalkCounts {
-        WalkCounts {
-            integer: self.integer_walks.get(),
-            exact: self.exact_walks.get(),
-            pruned: self.pruned_walks.get(),
-            avoided: self.avoided_walks.get(),
-            reused_components: 0,
-            rebuilt_components: self.built_components.get(),
-            lockstep: self.lockstep_walks.get(),
-            patched: 0,
-            repaired: 0,
-            kept: 0,
-            rewalked: 0,
-        }
+        self.counts.get()
     }
 
     /// Runs the three profile-supremum walks a full report needs — LO
@@ -384,23 +481,20 @@ impl<'a> Analysis<'a> {
         }
         let mut slots: [Option<Result<AnyOutcome, AnalysisError>>; 3] = [None, None, None];
         drive_lockstep(live, &mut slots);
-        let trace = |pruned| WalkTrace {
-            kind: WalkKind::Integer,
-            pruned,
-            lockstep: true,
-        };
         *self.primed_lo_fits.borrow_mut() = match slots[0].take() {
-            Some(Ok(AnyOutcome::Fits(fits, pruned))) => Some(Ok((fits, trace(pruned)))),
+            Some(Ok(AnyOutcome::Fits(fits, pruned))) => {
+                Some(Ok((fits, WalkTrace::lockstep(pruned))))
+            }
             Some(Err(err)) => Some(Err(err)),
             _ => None,
         };
         *self.primed_lo_sup.borrow_mut() = match slots[1].take() {
-            Some(Ok(AnyOutcome::Sup(sup, pruned))) => Some(Ok((sup, trace(pruned)))),
+            Some(Ok(AnyOutcome::Sup(sup, pruned))) => Some(Ok((sup, WalkTrace::lockstep(pruned)))),
             Some(Err(err)) => Some(Err(err)),
             _ => None,
         };
         *self.primed_hi_sup.borrow_mut() = match slots[2].take() {
-            Some(Ok(AnyOutcome::Sup(sup, pruned))) => Some(Ok((sup, trace(pruned)))),
+            Some(Ok(AnyOutcome::Sup(sup, pruned))) => Some(Ok((sup, WalkTrace::lockstep(pruned)))),
             Some(Err(err)) => Some(Err(err)),
             _ => None,
         };
@@ -413,12 +507,9 @@ impl<'a> Analysis<'a> {
     ///
     /// As for [`crate::speedup::minimum_speedup`].
     pub fn minimum_speedup(&self) -> Result<SpeedupAnalysis, AnalysisError> {
-        let (sup, trace) = match self.primed_hi_sup.borrow_mut().take() {
-            Some(staged) => staged?,
-            None => self.hi_profile().sup_ratio_traced(&self.limits)?,
-        };
-        self.record(trace);
-        Ok(SpeedupAnalysis::from_sup_ratio(sup))
+        let staged = self.primed_hi_sup.borrow_mut().take();
+        let hi = self.hi_profile();
+        self.tally(|counts| minimum_speedup_on(hi, staged, &self.limits, counts))
     }
 
     /// Whether HI mode is EDF-schedulable at `speed` (see
@@ -428,9 +519,8 @@ impl<'a> Analysis<'a> {
     ///
     /// As for [`crate::speedup::is_hi_schedulable`].
     pub fn is_hi_schedulable(&self, speed: Rational) -> Result<bool, AnalysisError> {
-        let (fits, trace) = self.hi_profile().fits_traced(speed, &self.limits)?;
-        self.record(trace);
-        Ok(fits)
+        let hi = self.hi_profile();
+        self.tally(|counts| fits_on(hi, speed, None, &self.limits, counts))
     }
 
     /// Corollary 5's service resetting time at `speed` (see
@@ -452,30 +542,9 @@ impl<'a> Analysis<'a> {
     ///
     /// As for [`crate::resetting::resetting_time`].
     pub fn resetting_time(&self, speed: Rational) -> Result<ResettingAnalysis, AnalysisError> {
-        let profile = self.arrival_profile();
-        if speed > profile.rate() {
-            if let Some(fit) = self
-                .frontier
-                .borrow()
-                .as_ref()
-                .and_then(|frontier| frontier.lookup(speed))
-            {
-                self.avoided_walks.set(self.avoided_walks.get() + 1);
-                return Ok(ResettingAnalysis::from_first_fit(fit, speed));
-            }
-            let (frontier, trace) = profile.reset_frontier(speed, &self.limits)?;
-            self.record(trace);
-            let fit = frontier
-                .lookup(speed)
-                .expect("a frontier built for `speed` covers it");
-            *self.frontier.borrow_mut() = Some(frontier);
-            return Ok(ResettingAnalysis::from_first_fit(fit, speed));
-        }
-        let (fit, trace) = self
-            .arrival_profile()
-            .first_fit_traced(speed, &self.limits)?;
-        self.record(trace);
-        Ok(ResettingAnalysis::from_first_fit(fit, speed))
+        let arrival = self.arrival_profile();
+        let frontier = &mut self.frontier.borrow_mut();
+        self.tally(|counts| resetting_time_on(arrival, frontier, speed, &self.limits, counts))
     }
 
     /// The smallest speed at which LO mode is EDF-schedulable (see
@@ -485,15 +554,9 @@ impl<'a> Analysis<'a> {
     ///
     /// As for [`crate::lo_mode::lo_speed_requirement`].
     pub fn lo_speed_requirement(&self) -> Result<Rational, AnalysisError> {
-        let (sup, trace) = match self.primed_lo_sup.borrow_mut().take() {
-            Some(staged) => staged?,
-            None => self.lo_profile().sup_ratio_traced(&self.limits)?,
-        };
-        self.record(trace);
-        match sup {
-            SupRatio::Finite { value, .. } => Ok(value),
-            SupRatio::Unbounded => unreachable!("DBF_LO(0) = 0 for validated tasks"),
-        }
+        let staged = self.primed_lo_sup.borrow_mut().take();
+        let lo = self.lo_profile();
+        self.tally(|counts| lo_speed_requirement_on(lo, staged, &self.limits, counts))
     }
 
     /// Whether LO mode meets all deadlines at nominal speed (see
@@ -503,12 +566,9 @@ impl<'a> Analysis<'a> {
     ///
     /// As for [`crate::lo_mode::is_lo_schedulable`].
     pub fn is_lo_schedulable(&self) -> Result<bool, AnalysisError> {
-        let (fits, trace) = match self.primed_lo_fits.borrow_mut().take() {
-            Some(staged) => staged?,
-            None => self.lo_profile().fits_traced(Rational::ONE, &self.limits)?,
-        };
-        self.record(trace);
-        Ok(fits)
+        let staged = self.primed_lo_fits.borrow_mut().take();
+        let lo = self.lo_profile();
+        self.tally(|counts| fits_on(lo, Rational::ONE, staged, &self.limits, counts))
     }
 
     /// The QPA cross-check of LO-mode schedulability at `speed` (see
@@ -562,7 +622,7 @@ impl<'a> Analysis<'a> {
         let (needed, kind) =
             self.arrival_profile()
                 .min_ratio_within(budget, floor, tolerance, &self.limits)?;
-        self.record(WalkTrace::one_shot(kind, false));
+        self.tally(|counts| counts.record(WalkTrace::one_shot(kind, false)));
         let candidate = floor.max(needed);
         if candidate > max_speed {
             // `needed` can overshoot the true infimum by up to
@@ -677,6 +737,36 @@ mod tests {
                 .build()
                 .expect("valid"),
         ])
+    }
+
+    #[test]
+    fn absorb_adds_every_counter() {
+        let counts = |base: u64| WalkCounts {
+            integer: base + 1,
+            exact: base + 2,
+            pruned: base + 3,
+            avoided: base + 4,
+            reused_components: base + 5,
+            rebuilt_components: base + 6,
+            lockstep: base + 7,
+            patched: base + 8,
+            repaired: base + 9,
+            kept: base + 10,
+            rewalked: base + 11,
+        };
+        let mut into = counts(0);
+        into.absorb(&counts(100));
+        assert_eq!(into.integer, 1 + 101);
+        assert_eq!(into.exact, 2 + 102);
+        assert_eq!(into.pruned, 3 + 103);
+        assert_eq!(into.avoided, 4 + 104);
+        assert_eq!(into.reused_components, 5 + 105);
+        assert_eq!(into.rebuilt_components, 6 + 106);
+        assert_eq!(into.lockstep, 7 + 107);
+        assert_eq!(into.patched, 8 + 108);
+        assert_eq!(into.repaired, 9 + 109);
+        assert_eq!(into.kept, 10 + 110);
+        assert_eq!(into.rewalked, 11 + 111);
     }
 
     #[test]

@@ -264,17 +264,7 @@ pub struct DeltaAnalysis {
     /// in either window leaves it set, and the next use rebuilds the
     /// profiles from the (never-lent, mutated-first) set.
     dirty: bool,
-    integer_walks: u64,
-    exact_walks: u64,
-    pruned_walks: u64,
-    avoided_walks: u64,
-    lockstep_walks: u64,
-    reused_components: u64,
-    rebuilt_components: u64,
-    patched_profiles: u64,
-    repaired_frontiers: u64,
-    kept_records: u64,
-    rewalked_records: u64,
+    counts: WalkCounts,
 }
 
 impl DeltaAnalysis {
@@ -285,8 +275,12 @@ impl DeltaAnalysis {
         let lo = lo_profile(&set);
         let hi = hi_profile(&set);
         let arrival = hi_arrival_profile(&set);
-        let rebuilt =
-            (lo.components().len() + hi.components().len() + arrival.components().len()) as u64;
+        let counts = WalkCounts {
+            rebuilt_components: (lo.components().len()
+                + hi.components().len()
+                + arrival.components().len()) as u64,
+            ..WalkCounts::default()
+        };
         DeltaAnalysis {
             limits: *limits,
             set,
@@ -295,17 +289,7 @@ impl DeltaAnalysis {
             arrival,
             frontier: None,
             dirty: false,
-            integer_walks: 0,
-            exact_walks: 0,
-            pruned_walks: 0,
-            avoided_walks: 0,
-            lockstep_walks: 0,
-            reused_components: 0,
-            rebuilt_components: rebuilt,
-            patched_profiles: 0,
-            repaired_frontiers: 0,
-            kept_records: 0,
-            rewalked_records: 0,
+            counts,
         }
     }
 
@@ -333,19 +317,7 @@ impl DeltaAnalysis {
     /// component work exactly as the sweep engine's counters do.
     #[must_use]
     pub fn walk_counts(&self) -> WalkCounts {
-        WalkCounts {
-            integer: self.integer_walks,
-            exact: self.exact_walks,
-            pruned: self.pruned_walks,
-            avoided: self.avoided_walks,
-            reused_components: self.reused_components,
-            rebuilt_components: self.rebuilt_components,
-            lockstep: self.lockstep_walks,
-            patched: self.patched_profiles,
-            repaired: self.repaired_frontiers,
-            kept: self.kept_records,
-            rewalked: self.rewalked_records,
-        }
+        self.counts
     }
 
     /// Arms a one-shot fault on the calling thread: the next
@@ -377,7 +349,7 @@ impl DeltaAnalysis {
     #[doc(hidden)]
     pub fn invalidate_frontier(&mut self) {
         if let Some(frontier) = self.frontier.take() {
-            self.rewalked_records += frontier.len() as u64;
+            self.counts.rewalked += frontier.len() as u64;
         }
     }
 
@@ -484,12 +456,14 @@ impl DeltaAnalysis {
                 .all(|(p, _)| *p != i)
                 .then_some(SlotRef::Orig(i))
         };
-        let touch = |touched: &mut Vec<(usize, OrigState)>, i: usize, state: OrigState| {
-            match touched.iter_mut().find(|(p, _)| *p == i) {
+        let touch =
+            |touched: &mut Vec<(usize, OrigState)>, i: usize, state: OrigState| match touched
+                .iter_mut()
+                .find(|(p, _)| *p == i)
+            {
                 Some(entry) => entry.1 = state,
                 None => touched.push((i, state)),
-            }
-        };
+            };
         for op in &ops {
             match op {
                 DeltaOp::Admit(task) => {
@@ -500,20 +474,16 @@ impl DeltaAnalysis {
                     }
                     new_tasks.push(Some(task.clone()));
                 }
-                DeltaOp::Evict(id) => {
-                    match resolve(&touched, &new_tasks, id) {
-                        None => return Err(DeltaError::UnknownTask { id: id.clone() }),
-                        Some(SlotRef::Orig(i)) => touch(&mut touched, i, OrigState::Removed),
-                        Some(SlotRef::New(j)) => new_tasks[j] = None,
-                    }
-                }
+                DeltaOp::Evict(id) => match resolve(&touched, &new_tasks, id) {
+                    None => return Err(DeltaError::UnknownTask { id: id.clone() }),
+                    Some(SlotRef::Orig(i)) => touch(&mut touched, i, OrigState::Removed),
+                    Some(SlotRef::New(j)) => new_tasks[j] = None,
+                },
                 DeltaOp::Replace { id, task } => {
                     let Some(slot) = resolve(&touched, &new_tasks, id) else {
                         return Err(DeltaError::UnknownTask { id: id.clone() });
                     };
-                    if task.name() != id
-                        && resolve(&touched, &new_tasks, task.name()).is_some()
-                    {
+                    if task.name() != id && resolve(&touched, &new_tasks, task.name()).is_some() {
                         return Err(DeltaError::DuplicateTask {
                             id: task.name().to_owned(),
                         });
@@ -600,8 +570,7 @@ impl DeltaAnalysis {
                 arrival_appended.push(arrival_c);
             }
         }
-        let hi_untouched =
-            hi_patched.is_empty() && hi_removed.is_empty() && hi_appended.is_empty();
+        let hi_untouched = hi_patched.is_empty() && hi_removed.is_empty() && hi_appended.is_empty();
         let cut = {
             let arrival_components = self.arrival.components();
             let mut cut = frontier_cut(
@@ -633,7 +602,9 @@ impl DeltaAnalysis {
             self.set.push(task);
         }
         let lo_changed = (lo_patched.len() + lo_appended.len()) as u64;
-        let in_place = self.lo.splice_components(&lo_patched, &removed, lo_appended);
+        let in_place = self
+            .lo
+            .splice_components(&lo_patched, &removed, lo_appended);
         self.note_touched(Which::Lo, in_place, lo_changed);
         mid_splice_fault_check();
         if hi_untouched {
@@ -641,7 +612,9 @@ impl DeltaAnalysis {
             self.note_untouched(Which::Arrival);
         } else {
             let hi_changed = (hi_patched.len() + hi_appended.len()) as u64;
-            let in_place = self.hi.splice_components(&hi_patched, &hi_removed, hi_appended);
+            let in_place = self
+                .hi
+                .splice_components(&hi_patched, &hi_removed, hi_appended);
             self.note_touched(Which::Hi, in_place, hi_changed);
             let in_place =
                 self.arrival
@@ -822,11 +795,9 @@ impl DeltaAnalysis {
         self.arrival = arrival;
         self.frontier = frontier;
         self.dirty = false;
-        self.integer_walks += counts.integer;
-        self.exact_walks += counts.exact;
-        self.pruned_walks += counts.pruned;
-        self.avoided_walks += counts.avoided;
-        self.lockstep_walks += counts.lockstep;
+        // An adopted context builds nothing, so only its walk counters
+        // are nonzero.
+        self.counts.absorb(&counts);
         result
     }
 
@@ -915,13 +886,13 @@ impl DeltaAnalysis {
         let before = frontier.len() as u64;
         match frontier.truncated_below(cut) {
             Some(repaired) => {
-                self.repaired_frontiers += 1;
-                self.kept_records += repaired.len() as u64;
-                self.rewalked_records += before - repaired.len() as u64;
+                self.counts.repaired += 1;
+                self.counts.kept += repaired.len() as u64;
+                self.counts.rewalked += before - repaired.len() as u64;
                 self.frontier = Some(repaired);
             }
             None => {
-                self.rewalked_records += before;
+                self.counts.rewalked += before;
             }
         }
     }
@@ -947,7 +918,7 @@ impl DeltaAnalysis {
         self.lo = lo_profile(&self.set);
         self.hi = hi_profile(&self.set);
         self.arrival = hi_arrival_profile(&self.set);
-        self.rebuilt_components += (self.lo.components().len()
+        self.counts.rebuilt_components += (self.lo.components().len()
             + self.hi.components().len()
             + self.arrival.components().len()) as u64;
         self.frontier = None;
@@ -965,11 +936,11 @@ impl DeltaAnalysis {
             Which::Arrival => self.arrival.components().len(),
         } as u64;
         if in_place {
-            self.patched_profiles += 1;
-            self.rebuilt_components += changed;
-            self.reused_components += len - changed;
+            self.counts.patched += 1;
+            self.counts.rebuilt_components += changed;
+            self.counts.reused_components += len - changed;
         } else {
-            self.rebuilt_components += len;
+            self.counts.rebuilt_components += len;
         }
     }
 
@@ -983,7 +954,7 @@ impl DeltaAnalysis {
             Which::Hi => self.hi.components().len(),
             Which::Arrival => self.arrival.components().len(),
         } as u64;
-        self.reused_components += len;
+        self.counts.reused_components += len;
     }
 }
 
@@ -1382,13 +1353,15 @@ mod tests {
         // A HI-terminated task never touches the `ADB_HI` profile, so
         // churning one leaves the resetting staircase whole — the next
         // queries are still served without a walk.
-        delta
-            .admit(terminated_task("stop3", 8, 1))
-            .expect("admit");
+        delta.admit(terminated_task("stop3", 8, 1)).expect("admit");
         delta.resetting_time(int(2)).expect("ok");
         delta.resetting_time(int(3)).expect("ok");
         let counts = delta.walk_counts();
-        assert_eq!(counts.avoided, staircase.avoided + 2, "kept staircase serves");
+        assert_eq!(
+            counts.avoided,
+            staircase.avoided + 2,
+            "kept staircase serves"
+        );
         assert_eq!(counts.repaired, 1, "one repaired delta");
         assert!(counts.kept > 0, "records were kept");
         assert_eq!(counts.rewalked, 0, "nothing to re-walk");

@@ -396,6 +396,16 @@ impl WalkTrace {
             lockstep: false,
         }
     }
+
+    /// The trace of an integer fast-path walk a lockstep driver
+    /// completed.
+    pub(crate) fn lockstep(pruned: bool) -> WalkTrace {
+        WalkTrace {
+            kind: WalkKind::Integer,
+            pruned,
+            lockstep: true,
+        }
+    }
 }
 
 /// The `Never` stop of a first-fit-shaped walk at a speed `s ≤ rate`, on
@@ -1474,41 +1484,37 @@ pub fn sup_ratio_many(
     profiles: &[&DemandProfile],
     limits: &AnalysisLimits,
 ) -> Vec<Result<(SupRatio, WalkTrace), AnalysisError>> {
+    let queries: Vec<_> = profiles.iter().map(|&profile| (profile, limits)).collect();
+    sup_ratio_each(&queries)
+}
+
+/// [`sup_ratio_many`] with each profile walked under its own limits —
+/// the one batch path behind both the public entry point and the sweep
+/// engine's batched queries.
+pub(crate) fn sup_ratio_each(
+    queries: &[(&DemandProfile, &AnalysisLimits)],
+) -> Vec<Result<(SupRatio, WalkTrace), AnalysisError>> {
     let mut slots: Vec<Option<Result<AnyOutcome, AnalysisError>>> =
-        (0..profiles.len()).map(|_| None).collect();
-    let live = profiles
+        (0..queries.len()).map(|_| None).collect();
+    let live = queries
         .iter()
         .enumerate()
-        .filter_map(|(i, profile)| {
+        .filter_map(|(i, &(profile, limits))| {
             let machine = SupRatioMachine::new(profile.scaled()?, limits)?;
             Some((i, AnyMachine::Sup(machine), limits))
         })
         .collect();
     drive_lockstep(live, &mut slots);
-    profiles
+    queries
         .iter()
         .zip(slots)
-        .map(|(profile, slot)| match slot {
-            Some(Ok(AnyOutcome::Sup(sup, pruned))) => Ok((
-                sup,
-                WalkTrace {
-                    kind: WalkKind::Integer,
-                    pruned,
-                    lockstep: true,
-                },
-            )),
+        .map(|(&(profile, limits), slot)| match slot {
+            Some(Ok(AnyOutcome::Sup(sup, pruned))) => Ok((sup, WalkTrace::lockstep(pruned))),
             Some(Ok(AnyOutcome::Fits(..))) => unreachable!("sup machines yield sup outcomes"),
             Some(Err(error)) => Err(error),
-            None => profile.sup_ratio_exact_traced(limits).map(|(sup, pruned)| {
-                (
-                    sup,
-                    WalkTrace {
-                        kind: WalkKind::Rational,
-                        pruned,
-                        lockstep: false,
-                    },
-                )
-            }),
+            None => profile
+                .sup_ratio_exact_traced(limits)
+                .map(|(sup, pruned)| (sup, WalkTrace::one_shot(WalkKind::Rational, pruned))),
         })
         .collect()
 }
@@ -1526,17 +1532,29 @@ pub fn fits_many(
     queries: &[(&DemandProfile, Rational)],
     limits: &AnalysisLimits,
 ) -> Vec<Result<(bool, WalkTrace), AnalysisError>> {
+    let queries: Vec<_> = queries
+        .iter()
+        .map(|&(profile, speed)| (profile, speed, limits))
+        .collect();
+    fits_each(&queries)
+}
+
+/// [`fits_many`] with each query walked under its own limits (see
+/// [`sup_ratio_each`]).
+pub(crate) fn fits_each(
+    queries: &[(&DemandProfile, Rational, &AnalysisLimits)],
+) -> Vec<Result<(bool, WalkTrace), AnalysisError>> {
     let mut slots: Vec<Option<Result<AnyOutcome, AnalysisError>>> =
         (0..queries.len()).map(|_| None).collect();
     let mut live = Vec::new();
-    for (i, (profile, speed)) in queries.iter().enumerate() {
+    for (i, &(profile, speed, limits)) in queries.iter().enumerate() {
         if !speed.is_positive() {
             slots[i] = Some(Err(AnalysisError::NonPositiveSpeed));
             continue;
         }
         if let Some(machine) = profile
             .scaled()
-            .and_then(|s| FitsMachine::new(s, *speed, limits))
+            .and_then(|s| FitsMachine::new(s, speed, limits))
         {
             live.push((i, AnyMachine::Fits(machine), limits));
         }
@@ -1545,29 +1563,13 @@ pub fn fits_many(
     queries
         .iter()
         .zip(slots)
-        .map(|((profile, speed), slot)| match slot {
-            Some(Ok(AnyOutcome::Fits(fits, pruned))) => Ok((
-                fits,
-                WalkTrace {
-                    kind: WalkKind::Integer,
-                    pruned,
-                    lockstep: true,
-                },
-            )),
+        .map(|(&(profile, speed, limits), slot)| match slot {
+            Some(Ok(AnyOutcome::Fits(fits, pruned))) => Ok((fits, WalkTrace::lockstep(pruned))),
             Some(Ok(AnyOutcome::Sup(..))) => unreachable!("fits machines yield fits outcomes"),
             Some(Err(error)) => Err(error),
             None => profile
-                .fits_exact_traced(*speed, limits)
-                .map(|(fits, pruned)| {
-                    (
-                        fits,
-                        WalkTrace {
-                            kind: WalkKind::Rational,
-                            pruned,
-                            lockstep: false,
-                        },
-                    )
-                }),
+                .fits_exact_traced(speed, limits)
+                .map(|(fits, pruned)| (fits, WalkTrace::one_shot(WalkKind::Rational, pruned))),
         })
         .collect()
 }

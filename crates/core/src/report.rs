@@ -13,7 +13,7 @@ use rbs_json::{Json, JsonError, ToJson};
 use rbs_model::{ImplicitTaskSpec, TaskSet};
 use rbs_timebase::Rational;
 
-use crate::analysis::{Analysis, AnalysisScratch};
+use crate::analysis::{Analysis, AnalysisScratch, WalkCounts};
 use crate::delta::{DeltaAnalysis, DeltaError, DeltaOp};
 use crate::kernel::with_arena;
 use crate::lo_mode::minimal_feasible_x;
@@ -44,6 +44,9 @@ pub struct AnalyzeReport {
 
 /// Walk-implementation statistics for one [`analyze_with_meta`] call —
 /// observability data that never feeds back into the report itself.
+///
+/// A field-for-field mirror of [`WalkCounts`] (convert with `From`),
+/// kept while the `perfbench/` package constructs it by field name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AnalyzeMeta {
     /// Breakpoint walks served by the integer fast path.
@@ -81,8 +84,10 @@ pub struct AnalyzeMeta {
     pub rewalked_frontiers: u64,
 }
 
-impl AnalyzeMeta {
-    fn from_counts(counts: crate::analysis::WalkCounts) -> AnalyzeMeta {
+// Apart from the two struct definitions, these conversions are the only
+// place the counter names are spelled out.
+impl From<WalkCounts> for AnalyzeMeta {
+    fn from(counts: WalkCounts) -> AnalyzeMeta {
         AnalyzeMeta {
             integer_walks: counts.integer,
             exact_walks: counts.exact,
@@ -95,6 +100,24 @@ impl AnalyzeMeta {
             repaired_frontiers: counts.repaired,
             kept_records: counts.kept,
             rewalked_frontiers: counts.rewalked,
+        }
+    }
+}
+
+impl From<AnalyzeMeta> for WalkCounts {
+    fn from(meta: AnalyzeMeta) -> WalkCounts {
+        WalkCounts {
+            integer: meta.integer_walks,
+            exact: meta.exact_walks,
+            pruned: meta.pruned_walks,
+            avoided: meta.avoided_walks,
+            reused_components: meta.reused_components,
+            rebuilt_components: meta.rebuilt_components,
+            lockstep: meta.lockstep_walks,
+            patched: meta.patched_profiles,
+            repaired: meta.repaired_frontiers,
+            kept: meta.kept_records,
+            rewalked: meta.rewalked_frontiers,
         }
     }
 }
@@ -179,7 +202,7 @@ impl ReportParts {
 
 fn run_queries(ctx: &Analysis) -> Result<(ReportParts, AnalyzeMeta), AnalysisError> {
     let parts = query_parts(ctx)?;
-    let meta = AnalyzeMeta::from_counts(ctx.walk_counts());
+    let meta = AnalyzeMeta::from(ctx.walk_counts());
     Ok((parts, meta))
 }
 
@@ -435,7 +458,7 @@ pub fn run_sweep_in(
             scratch,
         );
         let result = sweep_points(&mut sweep, &grid.ys, &grid.speeds);
-        let meta = AnalyzeMeta::from_counts(sweep.walk_counts());
+        let meta = AnalyzeMeta::from(sweep.walk_counts());
         sweep.recycle_into(scratch);
         (result, meta)
     });
@@ -628,7 +651,7 @@ pub fn run_delta_in(
         // bit-identical by the delta differential suite.
         delta.apply_batch(ops.to_vec())?;
         let parts = delta.with_analysis(query_parts)?;
-        let meta = AnalyzeMeta::from_counts(delta.walk_counts());
+        let meta = AnalyzeMeta::from(delta.walk_counts());
         Ok((parts.into_report(delta.into_set()), meta))
     });
     scratch.arena = arena;

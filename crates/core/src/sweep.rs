@@ -67,13 +67,13 @@
 use rbs_model::{Criticality, ImplicitTaskSpec};
 use rbs_timebase::{lcm_i128, Rational};
 
-use crate::analysis::{AnalysisScratch, WalkCounts};
-use crate::demand::{
-    drive_lockstep, AnyMachine, AnyOutcome, DemandProfile, PeriodicDemand, ResetFrontier, SupRatio,
-    WalkKind, WalkTrace,
+use crate::analysis::{
+    fits_on, lo_speed_requirement_on, minimum_speedup_on, resetting_time_on, AnalysisScratch,
+    WalkCounts,
 };
+use crate::demand::{fits_each, sup_ratio_each, DemandProfile, PeriodicDemand, ResetFrontier};
 use crate::resetting::ResettingAnalysis;
-use crate::scaled::{FitsMachine, ScaledProfile, SupRatioMachine};
+use crate::scaled::ScaledProfile;
 use crate::speedup::SpeedupAnalysis;
 use crate::{AnalysisError, AnalysisLimits};
 
@@ -118,14 +118,7 @@ pub struct SweepAnalysis {
     lo: DemandProfile,
     hi: DemandProfile,
     arrival: DemandProfile,
-    integer_walks: u64,
-    exact_walks: u64,
-    pruned_walks: u64,
-    avoided_walks: u64,
-    reused_components: u64,
-    rebuilt_components: u64,
-    lockstep_walks: u64,
-    patched_profiles: u64,
+    counts: WalkCounts,
     /// Reused backing store for the per-`y` patch lists built by
     /// [`SweepAnalysis::rescale_lo`], so rescaling allocates nothing in
     /// the steady state.
@@ -315,8 +308,12 @@ impl SweepAnalysis {
         };
         let hi_scaled = scaled_with(&hi_components);
         let arrival_scaled = scaled_with(&arrival_components);
-        let rebuilt_components =
-            (lo_components.len() + hi_components.len() + arrival_components.len()) as u64;
+        let counts = WalkCounts {
+            rebuilt_components: (lo_components.len()
+                + hi_components.len()
+                + arrival_components.len()) as u64,
+            ..WalkCounts::default()
+        };
         SweepAnalysis {
             limits: *limits,
             x,
@@ -327,14 +324,7 @@ impl SweepAnalysis {
             lo: DemandProfile::new(lo_components),
             hi: DemandProfile::from_parts(hi_components, hi_scaled),
             arrival: DemandProfile::from_parts(arrival_components, arrival_scaled),
-            integer_walks: 0,
-            exact_walks: 0,
-            pruned_walks: 0,
-            avoided_walks: 0,
-            reused_components: 0,
-            rebuilt_components,
-            lockstep_walks: 0,
-            patched_profiles: 0,
+            counts,
             patch_buffer: scratch.lease(),
             frontier: None,
         }
@@ -390,7 +380,7 @@ impl SweepAnalysis {
             + self.arrival.components().len()) as u64;
         if y == self.y || self.lo_indices.is_empty() {
             self.y = y;
-            self.reused_components += total;
+            self.counts.reused_components += total;
             return;
         }
         self.y = y;
@@ -411,7 +401,7 @@ impl SweepAnalysis {
         self.patch_profile(Profile::Arrival, &patched);
         patched.clear();
         self.patch_buffer = patched;
-        self.reused_components += self.lo.components().len() as u64;
+        self.counts.reused_components += self.lo.components().len() as u64;
     }
 
     fn patch_profile(&mut self, which: Profile, patched: &[PeriodicDemand]) {
@@ -422,27 +412,14 @@ impl SweepAnalysis {
         let total = profile.components().len() as u64;
         let moved = self.lo_indices.len() as u64;
         if profile.patch_components(&self.lo_indices, patched) {
-            self.rebuilt_components += moved;
-            self.reused_components += total - moved;
-            self.patched_profiles += 1;
+            self.counts.rebuilt_components += moved;
+            self.counts.reused_components += total - moved;
+            self.counts.patched += 1;
         } else {
             // The grid timebase missed this `y`: the rational components
             // are still patched, but the integer fast path was rebuilt
             // from scratch, so count the whole profile as rebuilt.
-            self.rebuilt_components += total;
-        }
-    }
-
-    fn record(&mut self, trace: WalkTrace) {
-        match trace.kind {
-            WalkKind::Integer => self.integer_walks += 1,
-            WalkKind::Rational => self.exact_walks += 1,
-        }
-        if trace.pruned {
-            self.pruned_walks += 1;
-        }
-        if trace.lockstep {
-            self.lockstep_walks += 1;
+            self.counts.rebuilt_components += total;
         }
     }
 
@@ -451,27 +428,17 @@ impl SweepAnalysis {
     /// reused/rebuilt component tallies across all grid points.
     #[must_use]
     pub fn walk_counts(&self) -> WalkCounts {
-        WalkCounts {
-            integer: self.integer_walks,
-            exact: self.exact_walks,
-            pruned: self.pruned_walks,
-            avoided: self.avoided_walks,
-            reused_components: self.reused_components,
-            rebuilt_components: self.rebuilt_components,
-            lockstep: self.lockstep_walks,
-            patched: self.patched_profiles,
-            repaired: 0,
-            kept: 0,
-            rewalked: 0,
-        }
+        self.counts
     }
 
     /// [`SweepAnalysis::minimum_speedup`] across many contexts at once:
     /// the integer fast-path walks of all `sweeps` advance in one
-    /// chunked lockstep batch (see [`crate::demand::sup_ratio_many`] for
-    /// the chunking rule) instead of running to completion one profile
-    /// at a time. Contexts without a fast path — or whose fast path
-    /// overflows mid-walk — fall back to their usual sequential query.
+    /// chunked lockstep batch — the batch path behind
+    /// [`crate::demand::sup_ratio_many`], with each context's own limits
+    /// — instead of running to completion one profile at a time.
+    /// Contexts without a fast path — or whose fast path overflows
+    /// mid-walk — take the exact rational walk, as their sequential
+    /// query would.
     ///
     /// Returns one result per context, in order, each bit-identical to
     /// that context's own [`SweepAnalysis::minimum_speedup`]; walk
@@ -481,36 +448,16 @@ impl SweepAnalysis {
     pub fn minimum_speedup_many(
         sweeps: &mut [&mut SweepAnalysis],
     ) -> Vec<Result<SpeedupAnalysis, AnalysisError>> {
-        let mut slots: Vec<Option<Result<AnyOutcome, AnalysisError>>> =
-            sweeps.iter().map(|_| None).collect();
-        let mut live = Vec::with_capacity(sweeps.len());
-        for (slot, sweep) in sweeps.iter().enumerate() {
-            if let Some(machine) = sweep
-                .hi
-                .scaled()
-                .and_then(|s| SupRatioMachine::new(s, &sweep.limits))
-            {
-                live.push((slot, AnyMachine::Sup(machine), &sweep.limits));
-            }
-        }
-        drive_lockstep(live, &mut slots);
+        let queries: Vec<_> = sweeps.iter().map(|s| (&s.hi, &s.limits)).collect();
+        let walked = sup_ratio_each(&queries);
         sweeps
             .iter_mut()
-            .zip(slots)
-            .map(|(sweep, slot)| match slot {
-                Some(Ok(AnyOutcome::Sup(sup, pruned))) => {
-                    sweep.record(WalkTrace {
-                        kind: WalkKind::Integer,
-                        pruned,
-                        lockstep: true,
-                    });
-                    Ok(SpeedupAnalysis::from_sup_ratio(sup))
-                }
-                Some(Ok(AnyOutcome::Fits(..))) => {
-                    unreachable!("sup-ratio machines produce sup-ratio outcomes")
-                }
-                Some(Err(err)) => Err(err),
-                None => sweep.minimum_speedup(),
+            .zip(walked)
+            .map(|(sweep, walked)| {
+                sweep
+                    .counts
+                    .recorded(walked)
+                    .map(SpeedupAnalysis::from_sup_ratio)
             })
             .collect()
     }
@@ -521,7 +468,16 @@ impl SweepAnalysis {
     pub fn is_lo_schedulable_many(
         sweeps: &mut [&mut SweepAnalysis],
     ) -> Vec<Result<bool, AnalysisError>> {
-        SweepAnalysis::fits_many_inner(sweeps, FitsTarget::Lo, Rational::ONE)
+        let queries: Vec<_> = sweeps
+            .iter()
+            .map(|s| (&s.lo, Rational::ONE, &s.limits))
+            .collect();
+        let walked = fits_each(&queries);
+        sweeps
+            .iter_mut()
+            .zip(walked)
+            .map(|(sweep, walked)| sweep.counts.recorded(walked))
+            .collect()
     }
 
     /// [`SweepAnalysis::is_hi_schedulable`] at `speed` across many
@@ -531,55 +487,12 @@ impl SweepAnalysis {
         sweeps: &mut [&mut SweepAnalysis],
         speed: Rational,
     ) -> Vec<Result<bool, AnalysisError>> {
-        SweepAnalysis::fits_many_inner(sweeps, FitsTarget::Hi, speed)
-    }
-
-    fn fits_many_inner(
-        sweeps: &mut [&mut SweepAnalysis],
-        target: FitsTarget,
-        speed: Rational,
-    ) -> Vec<Result<bool, AnalysisError>> {
-        let mut slots: Vec<Option<Result<AnyOutcome, AnalysisError>>> =
-            sweeps.iter().map(|_| None).collect();
-        // A non-positive speed is an argument error the sequential query
-        // reports without walking; leave every slot to the fallback.
-        if speed.is_positive() {
-            let mut live = Vec::with_capacity(sweeps.len());
-            for (slot, sweep) in sweeps.iter().enumerate() {
-                let profile = match target {
-                    FitsTarget::Lo => &sweep.lo,
-                    FitsTarget::Hi => &sweep.hi,
-                };
-                if let Some(machine) = profile
-                    .scaled()
-                    .and_then(|s| FitsMachine::new(s, speed, &sweep.limits))
-                {
-                    live.push((slot, AnyMachine::Fits(machine), &sweep.limits));
-                }
-            }
-            drive_lockstep(live, &mut slots);
-        }
+        let queries: Vec<_> = sweeps.iter().map(|s| (&s.hi, speed, &s.limits)).collect();
+        let walked = fits_each(&queries);
         sweeps
             .iter_mut()
-            .zip(slots)
-            .map(|(sweep, slot)| match slot {
-                Some(Ok(AnyOutcome::Fits(fits, pruned))) => {
-                    sweep.record(WalkTrace {
-                        kind: WalkKind::Integer,
-                        pruned,
-                        lockstep: true,
-                    });
-                    Ok(fits)
-                }
-                Some(Ok(AnyOutcome::Sup(..))) => {
-                    unreachable!("fits machines produce fits outcomes")
-                }
-                Some(Err(err)) => Err(err),
-                None => match target {
-                    FitsTarget::Lo => sweep.is_lo_schedulable(),
-                    FitsTarget::Hi => sweep.is_hi_schedulable(speed),
-                },
-            })
+            .zip(walked)
+            .map(|(sweep, walked)| sweep.counts.recorded(walked))
             .collect()
     }
 
@@ -590,9 +503,7 @@ impl SweepAnalysis {
     ///
     /// As for [`crate::speedup::minimum_speedup`].
     pub fn minimum_speedup(&mut self) -> Result<SpeedupAnalysis, AnalysisError> {
-        let (sup, trace) = self.hi.sup_ratio_traced(&self.limits)?;
-        self.record(trace);
-        Ok(SpeedupAnalysis::from_sup_ratio(sup))
+        minimum_speedup_on(&self.hi, None, &self.limits, &mut self.counts)
     }
 
     /// Whether HI mode is EDF-schedulable at `speed` at the current grid
@@ -602,9 +513,7 @@ impl SweepAnalysis {
     ///
     /// As for [`crate::speedup::is_hi_schedulable`].
     pub fn is_hi_schedulable(&mut self, speed: Rational) -> Result<bool, AnalysisError> {
-        let (fits, trace) = self.hi.fits_traced(speed, &self.limits)?;
-        self.record(trace);
-        Ok(fits)
+        fits_on(&self.hi, speed, None, &self.limits, &mut self.counts)
     }
 
     /// Corollary 5's service resetting time at `speed` for the current
@@ -619,22 +528,13 @@ impl SweepAnalysis {
     ///
     /// As for [`crate::resetting::resetting_time`].
     pub fn resetting_time(&mut self, speed: Rational) -> Result<ResettingAnalysis, AnalysisError> {
-        if speed > self.arrival.rate() {
-            if let Some(fit) = self.frontier.as_ref().and_then(|f| f.lookup(speed)) {
-                self.avoided_walks += 1;
-                return Ok(ResettingAnalysis::from_first_fit(fit, speed));
-            }
-            let (frontier, trace) = self.arrival.reset_frontier(speed, &self.limits)?;
-            self.record(trace);
-            let fit = frontier
-                .lookup(speed)
-                .expect("a frontier built for `speed` covers it");
-            self.frontier = Some(frontier);
-            return Ok(ResettingAnalysis::from_first_fit(fit, speed));
-        }
-        let (fit, trace) = self.arrival.first_fit_traced(speed, &self.limits)?;
-        self.record(trace);
-        Ok(ResettingAnalysis::from_first_fit(fit, speed))
+        resetting_time_on(
+            &self.arrival,
+            &mut self.frontier,
+            speed,
+            &self.limits,
+            &mut self.counts,
+        )
     }
 
     /// Whether LO mode meets all deadlines at nominal speed
@@ -645,9 +545,13 @@ impl SweepAnalysis {
     ///
     /// As for [`crate::lo_mode::is_lo_schedulable`].
     pub fn is_lo_schedulable(&mut self) -> Result<bool, AnalysisError> {
-        let (fits, trace) = self.lo.fits_traced(Rational::ONE, &self.limits)?;
-        self.record(trace);
-        Ok(fits)
+        fits_on(
+            &self.lo,
+            Rational::ONE,
+            None,
+            &self.limits,
+            &mut self.counts,
+        )
     }
 
     /// The smallest speed at which LO mode is EDF-schedulable
@@ -658,12 +562,7 @@ impl SweepAnalysis {
     ///
     /// As for [`crate::lo_mode::lo_speed_requirement`].
     pub fn lo_speed_requirement(&mut self) -> Result<Rational, AnalysisError> {
-        let (sup, trace) = self.lo.sup_ratio_traced(&self.limits)?;
-        self.record(trace);
-        match sup {
-            SupRatio::Finite { value, .. } => Ok(value),
-            SupRatio::Unbounded => unreachable!("DBF_LO(0) = 0 for validated tasks"),
-        }
+        lo_speed_requirement_on(&self.lo, None, &self.limits, &mut self.counts)
     }
 }
 
@@ -672,13 +571,6 @@ impl SweepAnalysis {
 enum Profile {
     Hi,
     Arrival,
-}
-
-/// Which profile a batched fits query walks.
-#[derive(Clone, Copy)]
-enum FitsTarget {
-    Lo,
-    Hi,
 }
 
 #[cfg(test)]

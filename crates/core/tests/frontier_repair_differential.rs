@@ -204,7 +204,9 @@ fn churn_step(
     };
     if ops.len() == 1 {
         repaired.apply(ops[0].clone()).expect("vetted op applies");
-        invalidated.apply(ops[0].clone()).expect("vetted op applies");
+        invalidated
+            .apply(ops[0].clone())
+            .expect("vetted op applies");
     } else {
         repaired.apply_batch(ops.clone()).expect("vetted ops apply");
         invalidated.apply_batch(ops).expect("vetted ops apply");
@@ -269,7 +271,13 @@ fn churn_lane(lane: Lane, seed: u64) {
             &format!("case {case} base"),
         );
         for step in 0..OPS_PER_CASE {
-            churn_step(&mut rng, lane, &mut next_id, &mut repaired, &mut invalidated);
+            churn_step(
+                &mut rng,
+                lane,
+                &mut next_id,
+                &mut repaired,
+                &mut invalidated,
+            );
             assert_lanes_agree(
                 &mut repaired,
                 &mut invalidated,
@@ -347,5 +355,9 @@ fn a_panic_mid_repair_leaves_the_context_rebuildable() {
         .expect("healed context splices");
     let set = delta.set().clone();
     let ctx = Analysis::new(&set, &limits);
-    assert_eq!(delta.minimum_speedup(), ctx.minimum_speedup(), "healed s_min");
+    assert_eq!(
+        delta.minimum_speedup(),
+        ctx.minimum_speedup(),
+        "healed s_min"
+    );
 }

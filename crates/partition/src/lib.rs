@@ -420,7 +420,7 @@ pub fn partition_with_engine(
         if placed.is_none() {
             let mut walks = WalkCounts::default();
             for core in &cores {
-                absorb(&mut walks, core.counts());
+                walks.absorb(&core.counts());
             }
             return Ok(PartitionOutcome {
                 partition: None,
@@ -459,7 +459,7 @@ pub fn partition_with_engine(
         let (core_set, bound, counts) = slot?;
         core_sets.push(core_set);
         speedups.push(bound);
-        absorb(&mut walks, counts);
+        walks.absorb(&counts);
     }
     Ok(PartitionOutcome {
         partition: Some(Partition {
@@ -799,23 +799,11 @@ impl CoreBack {
                 let set = TaskSet::new(tasks.clone());
                 let ctx = Analysis::new(&set, limits);
                 let result = f(&ctx);
-                absorb(walks, ctx.walk_counts());
+                walks.absorb(&ctx.walk_counts());
                 result
             }
         }
     }
-}
-
-/// Accumulates walk counters (all eight fields).
-fn absorb(into: &mut WalkCounts, from: WalkCounts) {
-    into.integer += from.integer;
-    into.exact += from.exact;
-    into.pruned += from.pruned;
-    into.avoided += from.avoided;
-    into.reused_components += from.reused_components;
-    into.rebuilt_components += from.rebuilt_components;
-    into.lockstep += from.lockstep;
-    into.patched += from.patched;
 }
 
 #[cfg(test)]

@@ -33,12 +33,14 @@
 //! take the batch (or the daemon) down.
 
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rbs_core::{
     analyze_with_meta_in, run_delta_in, run_sweep_in, AnalysisError, AnalysisLimits,
     AnalysisScratch, AnalyzeMeta, DeltaBase, DeltaOp, DeltaRequest, DeltaRunError, SweepGrid,
+    WalkCounts,
 };
 use rbs_json::{FromJson, Json, ToJson};
 use rbs_model::{CanonicalTaskSet, ImplicitTaskSpec, TaskSet};
@@ -348,20 +350,17 @@ impl Response {
                     ""
                 };
                 let walks = match walks {
-                    Some(meta) => format!(
-                        ",\"walks\":{{\"integer\":{},\"exact\":{},\"pruned\":{},\"avoided\":{},\"reused\":{},\"rebuilt\":{},\"lockstep\":{},\"patched\":{},\"repaired\":{},\"kept\":{},\"rewalked\":{}}}",
-                        meta.integer_walks,
-                        meta.exact_walks,
-                        meta.pruned_walks,
-                        meta.avoided_walks,
-                        meta.reused_components,
-                        meta.rebuilt_components,
-                        meta.lockstep_walks,
-                        meta.patched_profiles,
-                        meta.repaired_frontiers,
-                        meta.kept_records,
-                        meta.rewalked_frontiers
-                    ),
+                    Some(meta) => {
+                        let mut json = String::from(",\"walks\":{");
+                        for (i, (name, value)) in
+                            WalkCounts::from(*meta).fields().iter().enumerate()
+                        {
+                            let sep = if i == 0 { "" } else { "," };
+                            let _ = write!(json, "{sep}\"{name}\":{value}");
+                        }
+                        json.push('}');
+                        json
+                    }
                     None => String::new(),
                 };
                 format!(
@@ -437,44 +436,9 @@ pub struct BatchStats {
     pub coalesced: usize,
     /// Analyses actually executed (misses after in-batch coalescing).
     pub analyzed: usize,
-    /// Breakpoint walks served by the integer fast path, summed over the
-    /// executed analyses.
-    pub integer_walks: u64,
-    /// Breakpoint walks that fell back to the exact rational path,
-    /// summed over the executed analyses.
-    pub exact_walks: u64,
-    /// Walks that terminated early at the utilization-envelope horizon,
-    /// summed over the executed analyses.
-    pub pruned_walks: u64,
-    /// Resetting-time queries answered from a cached reset frontier
-    /// without walking, summed over the executed analyses.
-    pub avoided_walks: u64,
-    /// Demand components reused across sweep grid points instead of being
-    /// rebuilt, summed over the executed analyses. Zero for single-set
-    /// requests — only the incremental sweep engine reuses components.
-    pub reused_components: u64,
-    /// Demand components built (initial construction plus `rescale_lo`
-    /// patches), summed over the executed analyses.
-    pub rebuilt_components: u64,
-    /// Integer-fast-path walks answered by the chunked lockstep driver
-    /// (several profiles' event streams advanced together), summed over
-    /// the executed analyses. Each is also counted in
-    /// [`Self::integer_walks`] — this reports how many of those walks
-    /// ran batched rather than one at a time.
-    pub lockstep_walks: u64,
-    /// Demand profiles updated by an in-place patch (sweep rescales and
-    /// delta splices), summed over the executed analyses. Zero for
-    /// single-set requests.
-    pub patched_profiles: u64,
-    /// Deltas whose reset frontier survived (possibly truncated) a
-    /// splice, summed over the executed analyses.
-    pub repaired_frontiers: u64,
-    /// Frontier records kept across those repairs, summed over the
-    /// executed analyses.
-    pub kept_records: u64,
-    /// Deltas that dropped the frontier and forced a re-walk, summed
-    /// over the executed analyses.
-    pub rewalked_frontiers: u64,
+    /// Walk counters (see [`WalkCounts`]) summed over the executed
+    /// analyses; cache hits contribute nothing, since no analysis ran.
+    pub walks: WalkCounts,
     /// Per-request service time in microseconds (parse + analysis share),
     /// indexed by `seq` within the batch.
     pub latencies_micros: Vec<u64>,
@@ -497,17 +461,7 @@ impl BatchStats {
         self.negative_hits += other.negative_hits;
         self.coalesced += other.coalesced;
         self.analyzed += other.analyzed;
-        self.integer_walks += other.integer_walks;
-        self.exact_walks += other.exact_walks;
-        self.pruned_walks += other.pruned_walks;
-        self.avoided_walks += other.avoided_walks;
-        self.reused_components += other.reused_components;
-        self.rebuilt_components += other.rebuilt_components;
-        self.lockstep_walks += other.lockstep_walks;
-        self.patched_profiles += other.patched_profiles;
-        self.repaired_frontiers += other.repaired_frontiers;
-        self.kept_records += other.kept_records;
-        self.rewalked_frontiers += other.rewalked_frontiers;
+        self.walks.absorb(&other.walks);
         self.latencies_micros
             .extend_from_slice(&other.latencies_micros);
     }
@@ -515,6 +469,11 @@ impl BatchStats {
     /// One-line summary footer for the CLI.
     #[must_use]
     pub fn footer(&self, jobs: usize) -> String {
+        let walks = self
+            .walks
+            .fields()
+            .map(|(name, value)| format!("{name}={value}"))
+            .join(" ");
         let mut sorted = self.latencies_micros.clone();
         sorted.sort_unstable();
         let p50 = median(&sorted);
@@ -529,7 +488,7 @@ impl BatchStats {
         format!(
             "rbs-svc: served={} ok={} errors{{total={} parse={} limits={} timeout={} panic={} oversized={} overload={}}} \
              cache{{hits={} negative={}}} coalesced={} analyzed={} jobs={jobs} \
-             walks{{integer={} exact={} pruned={} avoided={} reused={} rebuilt={} lockstep={} patched={} repaired={} kept={} rewalked={}}} latency_micros{{p50={p50} p99={p99} mean={mean} max={max}}}",
+             walks{{{walks}}} latency_micros{{p50={p50} p99={p99} mean={mean} max={max}}}",
             self.served,
             self.ok,
             self.errors.total(),
@@ -543,17 +502,6 @@ impl BatchStats {
             self.negative_hits,
             self.coalesced,
             self.analyzed,
-            self.integer_walks,
-            self.exact_walks,
-            self.pruned_walks,
-            self.avoided_walks,
-            self.reused_components,
-            self.rebuilt_components,
-            self.lockstep_walks,
-            self.patched_profiles,
-            self.repaired_frontiers,
-            self.kept_records,
-            self.rewalked_frontiers
         )
     }
 }
@@ -847,23 +795,9 @@ impl Service {
                             // independent either way).
                             rbs_partition::partition_with(&set, &spec, &WorkerPool::new(1), &limits)
                                 .map(|outcome| {
-                                    let walks = outcome.walks();
-                                    let meta = AnalyzeMeta {
-                                        integer_walks: walks.integer,
-                                        exact_walks: walks.exact,
-                                        pruned_walks: walks.pruned,
-                                        avoided_walks: walks.avoided,
-                                        reused_components: walks.reused_components,
-                                        rebuilt_components: walks.rebuilt_components,
-                                        lockstep_walks: walks.lockstep,
-                                        patched_profiles: walks.patched,
-                                        repaired_frontiers: walks.repaired,
-                                        kept_records: walks.kept,
-                                        rewalked_frontiers: walks.rewalked,
-                                    };
                                     (
                                         Arc::<str>::from(rbs_json::to_string(&outcome.to_json())),
-                                        meta,
+                                        AnalyzeMeta::from(outcome.walks()),
                                     )
                                 })
                                 .map_err(|error| SvcError::from_analysis(&error))
@@ -886,17 +820,7 @@ impl Service {
             match outcome {
                 Ok((report_json, meta)) => {
                     self.cache.insert(canonical, Arc::clone(report_json));
-                    stats.integer_walks += meta.integer_walks;
-                    stats.exact_walks += meta.exact_walks;
-                    stats.pruned_walks += meta.pruned_walks;
-                    stats.avoided_walks += meta.avoided_walks;
-                    stats.reused_components += meta.reused_components;
-                    stats.rebuilt_components += meta.rebuilt_components;
-                    stats.lockstep_walks += meta.lockstep_walks;
-                    stats.patched_profiles += meta.patched_profiles;
-                    stats.repaired_frontiers += meta.repaired_frontiers;
-                    stats.kept_records += meta.kept_records;
-                    stats.rewalked_frontiers += meta.rewalked_frontiers;
+                    stats.walks.absorb(&WalkCounts::from(*meta));
                 }
                 Err(error) => {
                     // Every post-parse failure (limits, timeout, panic) is

@@ -239,35 +239,49 @@ fn follow_mode_emits_periodic_footers() {
     assert_eq!(footers, 3, "{stderr}");
 }
 
-/// Extracts `[integer, exact, pruned, avoided, reused, rebuilt,
-/// lockstep, patched]` from a footer's `walks{integer=.. exact=..
-/// pruned=.. avoided=.. reused=.. rebuilt=.. lockstep=.. patched=..}`
-/// block.
-fn parse_walks(footer: &str) -> [u64; 8] {
+/// Every walk counter the service reports, in wire order: the response
+/// `"walks"` object and the footer `walks{}` block must both list
+/// exactly these.
+const WALK_NAMES: [&str; 11] = [
+    "integer", "exact", "pruned", "avoided", "reused", "rebuilt", "lockstep", "patched",
+    "repaired", "kept", "rewalked",
+];
+
+/// Extracts the counters of a footer's `walks{integer=.. exact=.. ..}`
+/// block in [`WALK_NAMES`] order, asserting the block lists exactly
+/// those names in that order.
+fn parse_walks(footer: &str) -> [u64; 11] {
     let start = footer.find("walks{").expect("footer has a walks block") + "walks{".len();
     let body = &footer[start..];
     let body = &body[..body.find('}').expect("walks block closes")];
-    let mut counters = [0u64; 8];
-    for (slot, key) in [
-        "integer=",
-        "exact=",
-        "pruned=",
-        "avoided=",
-        "reused=",
-        "rebuilt=",
-        "lockstep=",
-        "patched=",
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let field = body
-            .split(' ')
-            .find_map(|part| part.strip_prefix(key))
-            .unwrap_or_else(|| panic!("walks block must carry {key}: {footer}"));
-        counters[slot] = field.parse().expect("counter parses");
+    let fields: Vec<(&str, &str)> = body
+        .split(' ')
+        .map(|part| part.split_once('=').expect("footer counter is name=value"))
+        .collect();
+    let names: Vec<&str> = fields.iter().map(|&(name, _)| name).collect();
+    assert_eq!(names, WALK_NAMES, "footer walks block: {footer}");
+    let mut counters = [0u64; 11];
+    for (slot, (_, value)) in counters.iter_mut().zip(fields) {
+        *slot = value.parse().expect("counter parses");
     }
     counters
+}
+
+/// The counter names of a response line's `"walks"` object, in order.
+fn response_walk_names(response: &str) -> Vec<String> {
+    let start = response
+        .find("\"walks\":{")
+        .expect("response has a walks object")
+        + "\"walks\":{".len();
+    let body = &response[start..];
+    body[..body.find('}').expect("walks object closes")]
+        .split(',')
+        .map(|field| {
+            let (name, value) = field.split_once(':').expect("walks field is name:value");
+            value.parse::<u64>().expect("walks value parses");
+            name.trim_matches('"').to_owned()
+        })
+        .collect()
 }
 
 #[test]
@@ -276,25 +290,12 @@ fn walk_counters_appear_per_response_and_grow_monotonically() {
     let first = daemon.roundtrip(&good_line(5));
     // Fresh reports carry the full per-analysis walk accounting,
     // including the pruning observability counters.
-    for needle in [
-        "\"walks\":{\"integer\":",
-        "\"pruned\":",
-        "\"avoided\":",
-        "\"reused\":",
-        "\"rebuilt\":",
-        "\"lockstep\":",
-        "\"patched\":",
-    ] {
-        assert!(
-            first.contains(needle),
-            "response must carry {needle}: {first}"
-        );
-    }
+    assert_eq!(response_walk_names(&first), WALK_NAMES, "{first}");
     let _ = daemon.roundtrip(&good_line(9));
     let _ = daemon.roundtrip(&good_line(13));
     let (success, stderr) = daemon.drain();
     assert!(success, "{stderr}");
-    let footers: Vec<[u64; 8]> = stderr
+    let footers: Vec<[u64; 11]> = stderr
         .lines()
         .filter(|line| line.starts_with("rbs-svc: served="))
         .map(parse_walks)

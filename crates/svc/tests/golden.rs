@@ -170,10 +170,10 @@ fn walk_counters_are_reported_and_deterministic() {
         assert!(line.contains("\"walks\":{\"integer\":"), "{line}");
         assert!(line.contains("\"micros\":"), "{line}");
     }
-    assert_eq!((stats.integer_walks, stats.exact_walks), total);
+    assert_eq!((stats.walks.integer, stats.walks.exact), total);
     // Cache hits carry no walk stats (no analysis ran) ...
     let (second, stats) = svc.process_batch(&requests);
-    assert_eq!((stats.integer_walks, stats.exact_walks), (0, 0));
+    assert_eq!((stats.walks.integer, stats.walks.exact), (0, 0));
     for response in &second {
         let Outcome::Report { walks, .. } = &response.outcome else {
             panic!("expected a report");
@@ -183,7 +183,7 @@ fn walk_counters_are_reported_and_deterministic() {
     }
     // ... and re-analyzing from scratch reproduces the exact counts.
     let (_, again) = service(1).process_batch(&requests);
-    assert_eq!((again.integer_walks, again.exact_walks), total);
+    assert_eq!((again.walks.integer, again.walks.exact), total);
 }
 
 #[test]
